@@ -5,6 +5,8 @@ between layers and quantifies, exactly at desk scale, how computations above
 the noise threshold ``eta > 1 - 1/k`` collapse within logarithmic depth.
 """
 
+import os as _os
+
 from .analysis import (
     BoundSeries,
     DistanceReport,
@@ -47,11 +49,12 @@ from .circuit import (
     run_noisy,
     serialize_circuit,
 )
-from .config import ResourceLimitError, Tolerances, max_qubits
+from .config import BLAS_THREADS, BLAS_THREADS_ENV, ResourceLimitError, Tolerances, max_qubits
 from .linalg import (
     DensityMatrix,
     ValidationReport,
     hermitian_eigenvalues,
+    limit_blas_threads,
     partial_trace,
     tensor,
     trace_distance,
@@ -59,6 +62,9 @@ from .linalg import (
 )
 
 __version__ = "0.1.0"
+
+if not any(name in _os.environ for name in BLAS_THREADS_ENV):
+    limit_blas_threads(BLAS_THREADS)
 
 __all__ = [
     "BoundSeries",
@@ -89,6 +95,7 @@ __all__ = [
     "empirical_d",
     "f_series",
     "hermitian_eigenvalues",
+    "limit_blas_threads",
     "make_probes",
     "max_qubits",
     "min_worthless_depth",

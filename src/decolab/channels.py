@@ -7,8 +7,9 @@ trace-outs are ordinary channels here, so registers may grow and shrink.
 
 Depolarization itself is applied in its affine form
 ``(1-eta) rho + eta tr(rho) I/dim`` one qubit at a time, which preserves the
-trace exactly and never inflates a Kraus set; the equivalent four-operator
-Pauli form exists only as a cross-check (:func:`depolarizing_kraus_channel`).
+trace exactly and never inflates a Kraus set: a noise round updates one
+copy of the state in place; the four-operator Pauli form exists only as a
+cross-check (:func:`depolarizing_kraus_channel`).
 """
 
 from __future__ import annotations
@@ -185,38 +186,42 @@ def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumC
     return QuantumChannel(in_qubits, out_qubits, tuple(kraus), label=label)
 
 
+def _depolarized(rho: DensityMatrix, qubits: Sequence[int], eta: float) -> DensityMatrix:
+    """One copy of ``rho`` with ``qubits`` depolarized in place in turn: on the
+    view ``(2**q, 2, 2**(n-q-1))`` of rows and columns, every entry scales by
+    ``1 - eta`` and the diagonal blocks of ``q`` gain ``eta/2`` times their sum."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    buf = rho.mat.copy()
+    for q in qubits:
+        v = buf.reshape((2**q, 2, 2 ** (rho.qubits - q - 1)) * 2)
+        d0, d1 = v[:, 0, :, :, 0, :], v[:, 1, :, :, 1, :]
+        fresh = d0 + d1
+        fresh *= eta / 2.0
+        buf *= 1.0 - eta
+        d0 += fresh
+        d1 += fresh
+    return DensityMatrix._adopt(rho.qubits, buf)
+
+
 def depolarize_qubit(rho: DensityMatrix, q: int, eta: float) -> DensityMatrix:
     """Depolarize one qubit: with probability ``eta`` replace it by I/2.
 
     Affine evaluation of ``(1-eta) rho + eta (tr_q rho) (x) I/2`` with the
-    fresh factor reinserted at position ``q``; the trace is preserved to
-    floating point exactly.
+    fresh factor reinserted at position ``q``, in place on one copy of the
+    input; the trace is preserved to floating point exactly.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    n = rho.qubits
-    if not 0 <= q < n:
-        raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    t = rho.mat.reshape((2,) * (2 * n))
-    t2 = np.moveaxis(t, (q, n + q), (0, 1))
-    reduced = t2[0, 0] + t2[1, 1]
-    out = (1.0 - eta) * t2
-    out[0, 0] += (eta / 2.0) * reduced
-    out[1, 1] += (eta / 2.0) * reduced
-    mat = np.moveaxis(out, (0, 1), (q, n + q)).reshape(rho.dim, rho.dim)
-    return DensityMatrix(n, mat)
+    if not 0 <= q < rho.qubits:
+        raise ValueError(f"qubit {q} out of range for {rho.qubits}-qubit state")
+    return _depolarized(rho, (q,), eta)
 
 
 def depolarize_all(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """One noise round: independent depolarization of every qubit.
-
-    Single-qubit depolarizers on distinct qubits commute, so the sweep order
-    is irrelevant (and property-tested).
+    """One noise round: independent depolarization of every qubit, in place
+    on one copy of the input.  Single-qubit depolarizers on distinct qubits
+    commute, so the sweep order is irrelevant (and property-tested).
     """
-    out = rho
-    for q in range(rho.qubits):
-        out = depolarize_qubit(out, q, eta)
-    return out
+    return _depolarized(rho, range(rho.qubits), eta)
 
 
 def depolarizing_kraus_channel(eta: float) -> QuantumChannel:

@@ -192,51 +192,57 @@ class Trajectory:
         object.__setattr__(self, "levels", tuple(self.levels))
 
 
-def _apply_kraus_block(
-    mat: np.ndarray,
-    kraus: Sequence[np.ndarray],
-    pre: int,
-    din: int,
-    dout: int,
-    suf: int,
-) -> np.ndarray:
-    """Apply a channel to the middle factor of a pre (x) in (x) suf register."""
-    t = mat.reshape(pre, din, suf, pre, din, suf)
-    out = np.zeros((pre, dout, suf, pre, dout, suf), dtype=np.complex128)
+def _row_side(mat: np.ndarray, ops: Sequence[np.ndarray], pre: int) -> np.ndarray:
+    """Left-multiply the row factors after the first ``pre`` rows by ``ops``."""
+    for k in ops:
+        mat = np.matmul(k, mat.reshape(pre, k.shape[1], -1))
+        pre *= k.shape[0]
+    return mat.reshape(pre, -1)
+
+
+def _both_sides(mat: np.ndarray, kraus: Sequence[np.ndarray], pre: int) -> np.ndarray:
+    """``sum K mat K^dagger``, each ``K`` on the factor after ``pre`` done output
+    dims; a function of its own so that no temporary outlives it."""
+    dout, din = kraus[0].shape
+    suf = mat.shape[0] // (pre * din)
+    rows = mat.reshape(pre, din, -1)
+    acc = None
     for k in kraus:
-        out += np.einsum("ob,abcdef,pe->aocdpf", k, t, k.conj(), optimize=True)
-    new_dim = pre * dout * suf
-    return out.reshape(new_dim, new_dim)
+        term = np.matmul(k.conj(), np.matmul(k, rows).reshape(-1, din, suf))
+        acc = term if acc is None else np.add(acc, term, out=acc)
+    return acc.reshape(pre * dout * suf, -1)
 
 
 def apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
-    """One layer: permute into block order, apply each gate, permute back.
+    """One layer: permute into block order, apply the gates, permute back.
 
-    Gates are applied to contiguous blocks one at a time; because they act on
-    disjoint factors this equals materializing the full tensor-product
-    channel, without ever inflating the Kraus set.
+    The layer is a tensor product on disjoint qubits, so gate order is free.
+    Multi-Kraus gates (``DEPHASE``, ``TRACEOUT``) come first in block order,
+    shrinking ones first of all, each Kraus operator a matmul on the rows and
+    then on the columns.  For the single-Kraus rest, ``A M`` is formed as row
+    operations, transposed once, and ``conj(A)`` applied as row operations:
+    that is ``Y^T`` for ``Y = A M A^dagger``, and since :func:`settle` of a
+    transpose is its conjugate, one in-place conjugation undoes it at the end.
     """
     if rho.qubits != layer.in_width:
         raise CircuitError(
             f"layer expects {layer.in_width} qubits, state has {rho.qubits}"
         )
-    in_order = [q for g in layer.gates for q in g.inputs]
-    mat = permute_matrix(rho.mat, in_order) if in_order else rho.mat
-    in_sizes = [g.channel.in_qubits for g in layer.gates]
-    out_sizes = [g.channel.out_qubits for g in layer.gates]
-    for idx, g in enumerate(layer.gates):
-        pre = 2 ** sum(out_sizes[:idx])
-        suf = 2 ** sum(in_sizes[idx + 1 :])
-        mat = _apply_kraus_block(
-            mat, g.channel.kraus, pre, 2 ** in_sizes[idx], 2 ** out_sizes[idx], suf
-        )
-    out_order = [q for g in layer.gates for q in g.outputs]
-    if out_order:
-        inverse = [0] * len(out_order)
-        for pos, q in enumerate(out_order):
-            inverse[q] = pos
-        mat = permute_matrix(mat, inverse)
-    return DensityMatrix(layer.out_width, settle(mat))
+    gates = sorted(
+        layer.gates, key=lambda g: (len(g.channel.kraus) == 1, len(g.outputs) - len(g.inputs))
+    )
+    mat = permute_matrix(rho.mat, [q for g in gates for q in g.inputs])
+    pre = 1
+    n_multi = sum(len(g.channel.kraus) > 1 for g in gates)
+    for g in gates[:n_multi]:
+        mat = _both_sides(mat, g.channel.kraus, pre)
+        pre *= 2**g.channel.out_qubits
+    ops = [g.channel.kraus[0] for g in gates[n_multi:]]
+    mat = _row_side(mat, ops, pre).T.copy()
+    mat = _row_side(mat, [k.conj() for k in ops], pre)
+    mat = settle(permute_matrix(mat, np.argsort([q for g in gates for q in g.outputs])))
+    np.conjugate(mat, out=mat)
+    return DensityMatrix._adopt(layer.out_width, mat)
 
 
 def run_ideal(circuit: Circuit, rho0: DensityMatrix) -> Trajectory:

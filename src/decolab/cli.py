@@ -3,7 +3,8 @@
 Outputs are offline CSV/JSON tables meant for external plotting; identical
 invocations (including seeds) produce byte-identical files.  Exit codes are
 a stable contract: 0 success, 1 failed self-check, 2 usage or parse error,
-3 desk-scale resource cap exceeded.
+3 desk-scale resource cap exceeded, 4 numerical failure (an eigensolver that
+does not converge, a state whose trace drifted beyond renormalization).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_NUMERIC = 4
 
 
 @dataclass
@@ -400,6 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"decolab: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"decolab: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (CircuitError, ValueError, OSError) as exc:
         print(f"decolab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,8 +23,9 @@ KRAUS_TERM_CAP = 256
 #: |trace - 1| beyond this after a channel application is treated as a bug, not drift
 TRACE_RENORM_LIMIT = 1e-6
 
-#: slack allowed on all inequality checks in reports (accumulated eigensolver error)
-REPORT_SLACK = 1e-8
+#: OpenBLAS threads set at import unless the environment names a count
+BLAS_THREADS = 1
+BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class Tolerances:
     herm: float = 1e-9
     trace: float = 1e-9
     psd: float = 1e-8
-    eig: float = 1e-9
     kraus: float = 1e-9
     unitary: float = 1e-9
 

@@ -8,6 +8,7 @@ and all values are treated as immutable (matrix buffers are write-locked).
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,14 +29,12 @@ __all__ = [
     "haar_unitary",
     "hermitian_eigenvalues",
     "hermitian_part",
+    "limit_blas_threads",
     "partial_trace",
-    "permutation_unitary",
-    "permute_qubits",
     "random_density",
     "random_pure_state",
     "settle",
     "tensor",
-    "tensor_all",
     "trace_distance",
     "validate_density",
 ]
@@ -87,6 +86,16 @@ class DensityMatrix:
 
     def __repr__(self) -> str:  # matrices are noise in tracebacks
         return f"DensityMatrix(qubits={self.qubits})"
+
+    @classmethod
+    def _adopt(cls, qubits: int, buf: np.ndarray) -> "DensityMatrix":
+        """Write-lock a buffer its caller just allocated and never writes again."""
+        if buf.dtype != np.complex128 or buf.shape != (2**qubits,) * 2 or not buf.flags.owndata:
+            raise ValueError(f"cannot adopt a {buf.dtype} {buf.shape} buffer as {qubits} qubits")
+        buf.setflags(write=False)
+        state = object.__new__(cls)
+        vars(state).update(qubits=qubits, mat=buf)  # frozen: bypass __setattr__
+        return state
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "DensityMatrix":
@@ -167,15 +176,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    if not mats:
-        return np.ones((1, 1), dtype=np.complex128)
-    out = np.asarray(mats[0], dtype=np.complex128)
-    for m in mats[1:]:
-        out = tensor(out, m)
-    return out
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
@@ -185,13 +185,18 @@ def settle(mat: np.ndarray) -> np.ndarray:
 
     Re-symmetrizes to the Hermitian part and renormalizes the trace, but only
     if the drift is small (|trace - 1| <= 1e-6); larger drift signals a real
-    bug and raises instead of being masked.
+    bug and raises instead of being masked.  Returns a fresh array.
     """
-    m = hermitian_part(np.asarray(mat, dtype=np.complex128))
-    tr = float(np.trace(m).real)
+    m = np.asarray(mat, dtype=np.complex128)
+    tr = float(np.trace(m).real)  # the Hermitian part has the same real diagonal
     if abs(tr - 1.0) > TRACE_RENORM_LIMIT:
         raise ArithmeticError(f"state trace drifted to {tr!r}; refusing to renormalize")
-    return m / tr
+    # a fresh buffer, never np.ascontiguousarray(m.T): that may be a view of m
+    out = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))
+    out += m
+    out *= 0.5
+    out /= tr
+    return out
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -266,16 +271,6 @@ def validate_density(
     return ValidationReport(tuple(violations))
 
 
-def _index_permutation(perm: Sequence[int]) -> np.ndarray:
-    """Basis-index gather realizing the qubit relabeling ``new j = old perm[j]``."""
-    n = len(perm)
-    ar = np.arange(1 << n)
-    src = np.zeros(1 << n, dtype=np.intp)
-    for j, p in enumerate(perm):
-        src |= ((ar >> (n - 1 - j)) & 1) << (n - 1 - p)
-    return src
-
-
 def _check_perm(perm: Sequence[int]) -> tuple[int, ...]:
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(len(p))):
@@ -283,28 +278,12 @@ def _check_perm(perm: Sequence[int]) -> tuple[int, ...]:
     return p
 
 
-def permutation_unitary(perm: Sequence[int]) -> np.ndarray:
-    """Explicit unitary ``P`` with ``P rho P^dagger = permute_qubits(rho, perm)``."""
-    p = _check_perm(perm)
-    src = _index_permutation(p)
-    dim = 1 << len(p)
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    u[np.arange(dim), src] = 1.0
-    return u
-
-
 def permute_matrix(mat: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Conjugate by the qubit permutation unitary, evaluated as an index gather."""
-    p = _check_perm(perm)
-    src = _index_permutation(p)
-    return mat[np.ix_(src, src)]
-
-
-def permute_qubits(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
-    """Relabel qubits so the result's qubit ``j`` is the input's ``perm[j]``."""
-    if len(perm) != rho.qubits:
-        raise ValueError("permutation length must equal the qubit count")
-    return DensityMatrix(rho.qubits, permute_matrix(rho.mat, perm))
+    """Conjugate by the qubit permutation unitary, as one fresh strided copy."""
+    p = list(_check_perm(perm))
+    n = len(p)
+    t = np.asarray(mat).reshape((2,) * (2 * n)).transpose(p + [n + q for q in p])
+    return t.copy().reshape(np.shape(mat))
 
 
 def haar_unitary(qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -329,3 +308,26 @@ def random_density(qubits: int, rng: np.random.Generator) -> DensityMatrix:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     return DensityMatrix(qubits, rho / np.trace(rho).real)
+
+
+def limit_blas_threads(threads: int) -> int:
+    """Set every OpenBLAS in this process to ``threads`` threads; return how
+    many were found (0 for another BLAS, or without ``/proc/self/maps``).
+
+    The products here are small gates against long rows, and spin-waiting
+    BLAS threads halve throughput whenever another process holds a core.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    names = [f"{p}openblas_set_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_")]
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:  # no /proc, or a mapped library since deleted
+        return 0
+    setters = [getattr(lib, n) for lib in libs for n in names if hasattr(lib, n)]
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(threads)
+    return len(setters)

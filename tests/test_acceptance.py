@@ -154,6 +154,7 @@ def test_criterion_2_contractivity_and_convexity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_collapse_bound_suite(collapse_runs):
     runs, build_elapsed = collapse_runs
     start = time.perf_counter()
@@ -180,6 +181,7 @@ def test_criterion_3_collapse_bound_suite(collapse_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_one_step_recursion(collapse_runs):
     runs, _ = collapse_runs
     checks = 0

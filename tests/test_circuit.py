@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decolab.channels import GATES, channel_apply, channel_tensor, channel_validate
+from decolab.channels import (
+    GATES,
+    channel_apply,
+    channel_from_unitary,
+    channel_tensor,
+    channel_validate,
+    depolarize_all,
+    depolarize_qubit,
+    depolarizing_kraus_channel,
+    random_channel,
+)
 from decolab.circuit import (
     Circuit,
     CircuitError,
@@ -22,10 +32,12 @@ from decolab.circuit import (
 from decolab.config import ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
-    permutation_unitary,
+    haar_unitary,
     random_density,
+    settle,
     validate_density,
 )
+from oracles import permutation_unitary
 
 BELL_TEXT = """
 # prepares a maximally entangled pair from |00>
@@ -57,6 +69,108 @@ def circuits_equal(a: Circuit, b: Circuit) -> bool:
                 if not np.array_equal(ka, kb):
                     return False
     return True
+
+
+def _inverse(order):
+    inverse = [0] * len(order)
+    for pos, q in enumerate(order):
+        inverse[q] = pos
+    return inverse
+
+
+def _conjugate_by(perm, mat):
+    p = permutation_unitary(perm)
+    return p @ mat @ p.conj().T
+
+
+def assembled_layer_oracle(layer: CircuitLayer, rho: DensityMatrix) -> np.ndarray:
+    """Materialize the full layer channel and conjugate with explicit
+    permutation matrices on both sides."""
+    if not layer.gates:
+        return rho.mat
+    blocked = _conjugate_by([q for g in layer.gates for q in g.inputs], rho.mat)
+    block_channel = channel_tensor([g.channel for g in layer.gates])
+    moved = channel_apply(block_channel, DensityMatrix(layer.in_width, blocked))
+    return _conjugate_by(_inverse([q for g in layer.gates for q in g.outputs]), moved.mat)
+
+
+def _apply_kraus_block(mat, kraus, pre, din, dout, suf):
+    """Apply a channel to the middle factor of a pre (x) in (x) suf register."""
+    t = mat.reshape(pre, din, suf, pre, din, suf)
+    out = np.zeros((pre, dout, suf, pre, dout, suf), dtype=np.complex128)
+    for k in kraus:
+        out += np.einsum("ob,abcdef,pe->aocdpf", k, t, k.conj(), optimize=True)
+    new_dim = pre * dout * suf
+    return out.reshape(new_dim, new_dim)
+
+
+def kraus_block_apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
+    """The simulator's former path: one einsum per gate in layer order."""
+    mat = _conjugate_by([q for g in layer.gates for q in g.inputs], rho.mat)
+    in_sizes = [g.channel.in_qubits for g in layer.gates]
+    out_sizes = [g.channel.out_qubits for g in layer.gates]
+    for idx, g in enumerate(layer.gates):
+        pre = 2 ** sum(out_sizes[:idx])
+        suf = 2 ** sum(in_sizes[idx + 1 :])
+        mat = _apply_kraus_block(
+            mat, g.channel.kraus, pre, 2 ** in_sizes[idx], 2 ** out_sizes[idx], suf
+        )
+    mat = _conjugate_by(_inverse([q for g in layer.gates for q in g.outputs]), mat)
+    return DensityMatrix(layer.out_width, settle(mat))
+
+
+def kraus_block_run_noisy(circuit: Circuit, eta: float, rho0: DensityMatrix) -> list:
+    """``run_noisy`` on the former path, noise in four-operator Pauli form."""
+    pauli = depolarizing_kraus_channel(eta).kraus
+    levels, cur = [rho0], rho0
+    for i, layer in enumerate(circuit.layers):
+        if i >= 1:
+            n, mat = cur.qubits, cur.mat
+            for q in range(n):
+                mat = _apply_kraus_block(mat, pauli, 2**q, 2, 2, 2 ** (n - q - 1))
+            cur = DensityMatrix(n, mat)
+        cur = kraus_block_apply_layer(layer, cur)
+        levels.append(cur)
+    return levels
+
+
+def random_mixed_layer(rng: np.random.Generator, in_width: int) -> CircuitLayer:
+    """Seeded layer of fan-in <= 2 mixing unitaries, DEPHASE, TRACEOUT, random
+    two-term channels and preparations; its output width follows from the
+    gates drawn."""
+    remaining = [int(q) for q in rng.permutation(in_width)]
+    wired = []
+    while remaining:
+        size = int(rng.integers(1, min(2, len(remaining)) + 1))
+        block, remaining = tuple(sorted(remaining[:size])), remaining[size:]
+        kinds = ["U", "CNOT", "R"] if size == 2 else ["U", "I", "DEPHASE", "TRACEOUT", "R"]
+        kind = str(rng.choice(kinds))
+        if kind == "U":
+            channel = channel_from_unitary(haar_unitary(size, rng))
+        elif kind == "R":  # complex Kraus operators, unlike the library's
+            channel = random_channel(size, size, 2, rng)
+        else:
+            channel = GATES[kind]
+        wired.append((channel, block))
+    kept = sum(c.out_qubits for c, _ in wired)
+    for _ in range(int(rng.integers(0, 5 - kept + 1))):
+        wired.append((GATES[str(rng.choice(["PREP0", "PREP1", "PREP_PLUS"]))], ()))
+    out_width = sum(c.out_qubits for c, _ in wired)
+    slots = [int(q) for q in rng.permutation(out_width)]
+    gates = []
+    for channel, block in (wired[i] for i in rng.permutation(len(wired))):
+        outs, slots = tuple(sorted(slots[: channel.out_qubits])), slots[channel.out_qubits :]
+        gates.append(PlacedGate(channel, block, outs))
+    return CircuitLayer(in_width, out_width, tuple(gates))
+
+
+def random_mixed_circuit(seed: int, in_width: int, depth: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    layers, width = [], in_width
+    for _ in range(depth):
+        layers.append(random_mixed_layer(rng, width))
+        width = layers[-1].out_width
+    return Circuit(k=2, in_width=in_width, layers=tuple(layers))
 
 
 class TestParser:
@@ -247,26 +361,52 @@ class TestRunNoisy:
 
 class TestLayerApplication:
     def test_matches_assembled_tensor_with_permutations(self, rng):
-        # oracle: materialize the full layer channel, conjugate with explicit
-        # permutation matrices on both sides; CNOT straddles qubit 1
+        # CNOT straddles qubit 1
         gate_cnot = PlacedGate(GATES["CNOT"], (0, 2), (0, 2))
         gate_h = PlacedGate(GATES["H"], (1,), (1,))
         layer = CircuitLayer(3, 3, (gate_cnot, gate_h))
         rho = random_density(3, rng)
-
         fast = apply_layer(layer, rho)
+        assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
 
-        block_channel = channel_tensor([GATES["CNOT"], GATES["H"]])
-        in_order = [0, 2, 1]
-        p_in = permutation_unitary(in_order)
-        blocked = p_in @ rho.mat @ p_in.conj().T
-        moved = channel_apply(block_channel, DensityMatrix(3, blocked))
-        inverse = [0] * 3
-        for pos, q in enumerate(in_order):
-            inverse[q] = pos
-        p_out = permutation_unitary(inverse)
-        expected = p_out @ moved.mat @ p_out.conj().T
-        assert np.max(np.abs(fast.mat - expected)) < 1e-12
+    @pytest.mark.parametrize("width", range(6))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_mixed_layers_match_assembled_tensor(self, width, seed):
+        rng = np.random.default_rng(1000 * width + seed)
+        layer = random_mixed_layer(rng, width)
+        rho = random_density(width, rng)
+        fast = apply_layer(layer, rho)
+        assert fast.qubits == layer.out_width
+        assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_layer_emptying_the_register(self, width, rng):
+        layer = CircuitLayer(
+            width, 0, tuple(PlacedGate(GATES["TRACEOUT"], (q,), ()) for q in range(width))
+        )
+        out = apply_layer(layer, random_density(width, rng))
+        assert out.qubits == 0 and np.max(np.abs(out.mat - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layer_creating_a_register(self, seed):
+        layer = random_mixed_layer(np.random.default_rng(seed), 0)
+        scalar = DensityMatrix.scalar()
+        fast = apply_layer(layer, scalar)
+        assert fast.qubits == layer.out_width > 0
+        assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, scalar))) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_noisy_matches_former_kraus_block_path(self, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(2, 6))
+        circ = random_mixed_circuit(seed, width, depth=4)
+        eta = float(rng.uniform(0.1, 0.9))
+        rho = random_density(width, rng)
+        fast = run_noisy(circ, eta, rho).levels
+        slow = kraus_block_run_noisy(circ, eta, rho)
+        assert [s.qubits for s in fast] == list(circ.widths)
+        for a, b in zip(fast, slow):
+            assert np.max(np.abs(a.mat - b.mat)) < 1e-12
 
     def test_width_changing_layer(self, rng):
         # trace out qubit 0, keep qubit 1, append a fresh |+>
@@ -309,6 +449,39 @@ class TestLayerApplication:
         l2 = CircuitLayer(2, 2, (PlacedGate(GATES["CNOT"], (0, 1), (0, 1)),))
         with pytest.raises(CircuitError, match="width"):
             Circuit(k=2, in_width=1, layers=(l1, l2))
+
+
+class TestBuffers:
+    """The simulator updates fresh buffers in place and freezes them without a
+    copy; neither may write into an input or let two states share memory."""
+
+    def test_inputs_are_left_unchanged(self, rng):
+        rho = random_density(4, rng)
+        before = rho.mat.copy()
+        layer = random_mixed_layer(np.random.default_rng(5), 4)
+        outputs = [
+            depolarize_qubit(rho, 2, 0.4),
+            depolarize_all(rho, 0.4),
+            apply_layer(layer, rho),
+        ]
+        assert np.array_equal(rho.mat, before) and not rho.mat.flags.writeable
+        for out in outputs:
+            assert not np.shares_memory(out.mat, rho.mat)
+        drifted = rho.mat * (1 + 1e-9)
+        kept = drifted.copy()
+        assert not np.shares_memory(settle(drifted), drifted)
+        assert np.array_equal(drifted, kept)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_levels_are_locked_and_disjoint(self, rng, extra):
+        circ = random_mixed_circuit(3, 4, depth=5)
+        traj = run_noisy(circ, 0.3, random_density(4, rng), extra_noise_round=extra)
+        for i, level in enumerate(traj.levels):
+            assert not level.mat.flags.writeable
+            with pytest.raises(ValueError):
+                level.mat[0, 0] = 0.0
+            for other in traj.levels[i + 1 :]:
+                assert not np.shares_memory(level.mat, other.mat)
 
 
 class TestRandomCircuit:

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import decolab.circuit
 from decolab.circuit import random_circuit, serialize_circuit
 from decolab.cli import main
 
@@ -108,6 +110,26 @@ class TestSimulate:
         code = main(["simulate", "--circuit", str(path), "--eta", "0.5"])
         assert code == 3
         assert "resource cap" in capsys.readouterr().err
+
+    def test_trace_drift_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        def drifted(mat):
+            raise ArithmeticError("state trace drifted to 1.5; refusing to renormalize")
+
+        monkeypatch.setattr(decolab.circuit, "settle", drifted)
+        code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverged)
+        code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_eta_out_of_range_exits_2(self, bell_path):
         assert main(["simulate", "--circuit", bell_path, "--eta", "1.5"]) == 2

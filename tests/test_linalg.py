@@ -1,24 +1,31 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decolab.config import ResourceLimitError
+import decolab
+from decolab.config import BLAS_THREADS_ENV, ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
     check_subset,
     haar_unitary,
     hermitian_eigenvalues,
+    hermitian_part,
+    limit_blas_threads,
     partial_trace,
-    permutation_unitary,
-    permute_qubits,
+    permute_matrix,
     random_density,
     settle,
     tensor,
-    tensor_all,
     trace_distance,
     validate_density,
 )
+from oracles import permutation_unitary, permute_qubits, tensor_all
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -224,10 +231,24 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.0
 
+    def test_adopt_freezes_without_copy_and_checks_the_buffer(self):
+        buf = np.eye(4, dtype=complex) / 4
+        state = DensityMatrix._adopt(2, buf)
+        assert state.mat is buf and not buf.flags.writeable
+        with pytest.raises(ValueError):
+            DensityMatrix._adopt(1, np.eye(4, dtype=complex) / 4)
+        with pytest.raises(ValueError):
+            DensityMatrix._adopt(1, (np.eye(4, dtype=complex) / 2)[:2, :2])
+
     def test_settle_renormalizes_small_drift(self):
         m = np.diag([0.5 + 1e-9, 0.5]).astype(complex)
         out = settle(m)
         assert abs(np.trace(out) - 1.0) < 1e-15
+
+    def test_settle_equals_hermitian_part_over_trace_bitwise(self, rng):
+        m = _rand_state(rng, 3).mat * (1 + 1e-8) + 1e-10j * rng.standard_normal((8, 8))
+        reference = hermitian_part(m) / float(np.trace(hermitian_part(m)).real)
+        assert np.array_equal(settle(m), reference)
 
     def test_settle_refuses_large_drift(self):
         with pytest.raises(ArithmeticError):
@@ -260,9 +281,67 @@ class TestPermutations:
         with pytest.raises(ValueError):
             permute_qubits(_rand_state(rng, 2), [0, 0])
 
+    @pytest.mark.parametrize("qubits", range(6))
+    def test_permute_matrix_matches_unitary(self, qubits, rng):
+        # non-Hermitian input, so a stray transpose shows
+        dim = 2**qubits
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for _ in range(6):
+            perm = [int(q) for q in rng.permutation(qubits)]
+            p = permutation_unitary(perm)
+            out = permute_matrix(m, perm)
+            assert np.array_equal(out, p @ m @ p.conj().T)
+            assert not np.shares_memory(out, m)
+
 
 class TestHaarUnitary:
     def test_unitarity(self, rng):
         for qubits in (1, 2, 3):
             u = haar_unitary(qubits, rng)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2**qubits))) < 1e-12
+
+
+# prints the thread count of every OpenBLAS loaded once decolab is imported
+_THREADS_PROBE = """
+import ctypes, json, decolab
+names = [f"{p}openblas_get_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_")]
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+getters = [next(getattr(lib, n) for n in names if hasattr(lib, n)) for lib in map(ctypes.CDLL, paths)]
+for getter in getters:
+    getter.argtypes, getter.restype = [], ctypes.c_int
+print(json.dumps([getter() for getter in getters]))
+"""
+
+
+def _blas_threads_after_import(**env: str) -> list[int]:
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS library by")
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS_ENV}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(decolab.__file__)))
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE],
+        env={**child, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    counts = json.loads(out.stdout)
+    if not counts:
+        pytest.skip("numpy is not linked against OpenBLAS here")
+    return counts
+
+
+class TestBlasThreads:
+    def test_import_sets_one_thread(self):
+        counts = _blas_threads_after_import()
+        assert counts == [1] * len(counts)
+
+    def test_environment_count_wins(self):
+        counts = _blas_threads_after_import(OPENBLAS_NUM_THREADS="2")
+        assert counts == [2] * len(counts)
+
+    def test_rejects_zero_threads(self):
+        with pytest.raises(ValueError, match="threads"):
+            limit_blas_threads(0)
