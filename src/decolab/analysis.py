@@ -2,8 +2,10 @@
 
 Two ingredients meet here.  On the empirical side, ``d(i, n)`` is the
 largest trace distance between any matching reduced states of at most ``n``
-qubits at level ``i`` of two runs; it is computed exactly by enumerating
-every qubit subset.  On the analytic side, the scalar recursion
+qubits at level ``i`` of two runs.  It equals full enumeration of every
+qubit subset within 1e-12: a subset is skipped only where the
+data-processing inequality proves it no larger than a subset that was
+evaluated.  On the analytic side, the scalar recursion
 
     f_0 = 0,    f_{i+1} = (eta + (1 - eta) * f_i) ** k
 
@@ -40,6 +42,7 @@ from .linalg import (
 __all__ = [
     "BoundSeries",
     "DistanceReport",
+    "MaxProfile",
     "ReportRow",
     "ThresholdInfo",
     "analytic_bound",
@@ -50,6 +53,7 @@ __all__ = [
     "f_series",
     "gate_only_step_bound",
     "make_probes",
+    "max_profile",
     "min_worthless_depth",
     "noise_rounds_at_level",
     "pairwise_profiles",
@@ -193,7 +197,7 @@ def noise_rounds_at_level(level: int, depth: int, extra_noise_round: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# exhaustive subset distances
+# subset distances
 # ---------------------------------------------------------------------------
 
 
@@ -228,41 +232,94 @@ def _batched_reduce(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np
 _PAIR_CHUNK = 512
 
 
-def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Distance profiles for every unordered pair of states.
+def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarray, int]:
+    """Largest subset distances, by enumeration pruned with the data-processing
+    inequality.
 
-    Returns an array ``p`` of shape ``(n_pairs, qubits + 1)`` where
-    ``p[j, n]`` is the exact maximum trace distance between matching reduced
-    states over all qubit subsets of size at most ``n``, for the pair ``j``
-    in ``itertools.combinations`` order.  Sharing the reductions across pairs
-    is what makes sweeping all basis-state pairs affordable.
+    A partial trace is a channel, so a pair's distance on a subset never
+    exceeds its distance on any superset (Nielsen & Chuang, Thm 9.2).  Sizes
+    run from the full register down; each (pair, subset) is bounded by the
+    minimum over its one-larger parents of their distance, or of their own
+    bound where they were skipped.  Within a size, subsets are visited in
+    descending order of bound, and a pair is eigensolved only when its bound
+    exceeds the best distance already found at that size: that pair's best
+    when ``per_pair``, the best over all pairs otherwise.  Every skipped
+    subset is thus provably no larger than one that was evaluated.
+
+    Returns ``(best, eigensolves)``: ``best[j, s]`` is pair ``j``'s largest
+    evaluated distance over subsets of size ``s`` (column 0 is 0), exact per
+    pair when ``per_pair`` and exact only in its maximum over pairs
+    otherwise, and ``eigensolves`` counts the (pair, subset) distances
+    computed.
     """
     if not states:
-        return np.zeros((0, 1))
+        return np.zeros((0, 1)), 0
     qubits = states[0].qubits
     for s in states:
         if s.qubits != qubits:
             raise ValueError("all states must share one qubit count")
     _require_enumerable(qubits)
-    count = len(states)
-    iu, ju = np.triu_indices(count, 1)
-    n_pairs = iu.size
-    per_size = np.zeros((n_pairs, qubits + 1))
-    if n_pairs == 0:
-        return per_size
+    iu, ju = np.triu_indices(len(states), 1)
+    best = np.zeros((iu.size, qubits + 1))
+    if iu.size == 0:
+        return best, 0
     stack = np.stack([s.mat for s in states])
-    for keep in _subsets(qubits):
-        if not keep:
-            continue  # scalar reductions are all equal
-        red = _batched_reduce(stack, qubits, keep)
-        size = len(keep)
-        for start in range(0, n_pairs, _PAIR_CHUNK):
-            sl = slice(start, start + _PAIR_CHUNK)
-            diff = red[iu[sl]] - red[ju[sl]]
-            ev = np.linalg.eigvalsh(diff)
-            dist = 0.5 * np.abs(ev).sum(axis=-1)
-            np.maximum(per_size[sl, size], dist, out=per_size[sl, size])
-    return np.maximum.accumulate(per_size, axis=1)
+    # row ``mask`` (qubit ``q`` kept iff bit ``q`` is set) holds each pair's
+    # distance once evaluated, its bound once skipped
+    value = np.full((1 << qubits, iu.size), np.inf)
+    masks = np.arange(1 << qubits)
+    sizes = np.array([int(m).bit_count() for m in masks])
+    bits = 1 << np.arange(qubits)
+    eigensolves = 0
+    for size in range(qubits, 0, -1):
+        level = masks[sizes == size]
+        # a bit already in the subset maps it to itself, still +inf here
+        bound = value[level[:, None] | bits].min(axis=1)
+        value[level] = bound
+        for i in np.argsort(-bound.max(axis=1), kind="stable"):
+            record = best[:, size] if per_pair else best[:, size].max()
+            todo = np.flatnonzero(bound[i] > record)
+            if not todo.size:
+                continue
+            keep = tuple(q for q in range(qubits) if level[i] >> q & 1)
+            red = _batched_reduce(stack, qubits, keep)
+            for start in range(0, todo.size, _PAIR_CHUNK):
+                pairs = todo[start : start + _PAIR_CHUNK]
+                ev = np.linalg.eigvalsh(red[iu[pairs]] - red[ju[pairs]])
+                dist = 0.5 * np.abs(ev).sum(axis=-1)
+                # NaN compares False and would prune every subset below it
+                if not np.isfinite(dist).all():
+                    raise ArithmeticError(f"non-finite trace distance on qubits {keep}")
+                value[level[i], pairs] = dist
+                best[pairs, size] = np.maximum(best[pairs, size], dist)
+            eigensolves += todo.size
+    return best, eigensolves
+
+
+def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """Distance profiles for every unordered pair of states.
+
+    Returns an array ``p`` of shape ``(n_pairs, qubits + 1)`` where
+    ``p[j, n]`` is the maximum trace distance between matching reduced
+    states over all qubit subsets of size at most ``n``, for the pair ``j``
+    in ``itertools.combinations`` order.  It equals full enumeration within
+    rounding: subsets are pruned only where the data-processing inequality
+    proves them no larger than one evaluated for the same pair.
+    """
+    best, _ = _top_down(states, per_pair=True)
+    return np.maximum.accumulate(best, axis=1)
+
+
+class MaxProfile(NamedTuple):
+    profile: np.ndarray  # profile[n]: the largest distance over pairs and |A| <= n
+    eigensolves: int  # (pair, subset) distances computed
+
+
+def max_profile(states: Sequence[DensityMatrix]) -> MaxProfile:
+    """``pairwise_profiles(states).max(axis=0)`` (zeros without pairs), pruning
+    every pair that cannot raise the maximum over all pairs."""
+    best, eigensolves = _top_down(states, per_pair=False)
+    return MaxProfile(np.maximum.accumulate(best.max(axis=0, initial=0.0)), eigensolves)
 
 
 def distance_profile(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -448,6 +505,9 @@ class DistanceReport:
 
     ``empirical_d`` in each row is the maximum over all probe pairs; the
     bound column uses the noise rounds actually absorbed by that level.
+    ``eigensolves_run`` counts the (pair, subset) distances computed, out of
+    the ``eigensolves_full`` that full enumeration computes: pairs times
+    ``2**width - 1`` non-empty subsets, summed over levels.
     """
 
     k: int
@@ -456,6 +516,8 @@ class DistanceReport:
     rows: tuple[ReportRow, ...]
     final_max_distance: float
     practically_worthless: bool
+    eigensolves_run: int
+    eigensolves_full: int
 
     def min_slack(self) -> float:
         return min((r.slack for r in self.rows), default=0.0)
@@ -478,13 +540,16 @@ def distance_report(
     series = f_series(circuit.k, eta, max(noise_rounds_at_level(depth, depth, extra_noise_round), 0))
     rows: list[ReportRow] = []
     final_max = 0.0
+    run = full = 0
     for level in range(depth + 1):
         states = [t.levels[level] for t in trajectories]
         width = states[0].qubits
-        profiles = pairwise_profiles(states)
+        profile, eigensolves = max_profile(states)
+        run += eigensolves
+        full += math.comb(len(states), 2) * (2**width - 1)
         rounds = noise_rounds_at_level(level, depth, extra_noise_round)
         for n in range(width + 1):
-            emp = float(profiles[:, n].max()) if profiles.size else 0.0
+            emp = float(profile[n])
             bound = analytic_bound(series, rounds, n)
             rows.append(
                 ReportRow(
@@ -496,8 +561,8 @@ def distance_report(
                     slack=bound - emp,
                 )
             )
-        if level == depth and profiles.size:
-            final_max = float(profiles[:, width].max())
+        if level == depth:
+            final_max = float(profile[width])
     return DistanceReport(
         k=circuit.k,
         eta=eta,
@@ -505,4 +570,6 @@ def distance_report(
         rows=tuple(rows),
         final_max_distance=final_max,
         practically_worthless=final_max <= eps,
+        eigensolves_run=run,
+        eigensolves_full=full,
     )

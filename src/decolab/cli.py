@@ -4,7 +4,8 @@ Outputs are offline CSV/JSON tables meant for external plotting; identical
 invocations (including seeds) produce byte-identical files.  Exit codes are
 a stable contract: 0 success, 1 failed self-check, 2 usage or parse error,
 3 desk-scale resource cap exceeded, 4 numerical failure (an eigensolver that
-does not converge, a state whose trace drifted beyond renormalization).
+does not converge, a non-finite distance, a state whose trace is not finite
+or drifted beyond renormalization).
 """
 
 from __future__ import annotations
@@ -162,6 +163,11 @@ def cmd_simulate(config: RunConfig) -> int:
         f"practically_worthless={_fmt(report.practically_worthless)} "
         f"eps={_fmt(config.eps)} probes={probes_spec} n_probes={len(probes)} "
         f"min_slack={_fmt(report.min_slack())} output={out} [{verdict}]"
+    )
+    print(
+        f"simulate: eigensolves_run={report.eigensolves_run} "
+        f"eigensolves_full={report.eigensolves_full}",
+        file=sys.stderr,
     )
     return EXIT_OK
 

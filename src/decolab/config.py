@@ -14,7 +14,7 @@ MAX_QUBITS_ENV = "DECOLAB_MAX_QUBITS"
 DEFAULT_MAX_QUBITS = 10
 HARD_MAX_QUBITS = 12
 
-#: subsets are enumerated exhaustively; 2**10 reduced states per level is the limit
+#: subset enumeration may visit every one of 2**10 reduced states per level
 ENUMERATION_CAP = 10
 
 #: assembled layer channels refuse to materialize more Kraus terms than this

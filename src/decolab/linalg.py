@@ -184,12 +184,13 @@ def settle(mat: np.ndarray) -> np.ndarray:
     """Damp floating-point drift after a channel application.
 
     Re-symmetrizes to the Hermitian part and renormalizes the trace, but only
-    if the drift is small (|trace - 1| <= 1e-6); larger drift signals a real
-    bug and raises instead of being masked.  Returns a fresh array.
+    if the drift is small (|trace - 1| <= 1e-6); larger drift or a non-finite
+    trace signals a real bug and raises instead of being masked.  Returns a
+    fresh array.
     """
     m = np.asarray(mat, dtype=np.complex128)
     tr = float(np.trace(m).real)  # the Hermitian part has the same real diagonal
-    if abs(tr - 1.0) > TRACE_RENORM_LIMIT:
+    if not abs(tr - 1.0) <= TRACE_RENORM_LIMIT:  # a NaN trace fails this too
         raise ArithmeticError(f"state trace drifted to {tr!r}; refusing to renormalize")
     # a fresh buffer, never np.ascontiguousarray(m.T): that may be a view of m
     out = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))

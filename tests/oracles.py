@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use: explicit matrices the
-library's strided kernels are checked against."""
+library's strided kernels are checked against, and the full subset
+enumeration its pruned one is checked against."""
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
+from decolab.analysis import _batched_reduce
 from decolab.linalg import DensityMatrix, permute_matrix, tensor
 
 
@@ -38,3 +41,22 @@ def permute_qubits(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
     if len(perm) != rho.qubits:
         raise ValueError("permutation length must equal the qubit count")
     return DensityMatrix(rho.qubits, permute_matrix(rho.mat, perm))
+
+
+def full_enumeration_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """``pairwise_profiles`` by visiting every subset for every pair, sizes
+    ascending: one eigensolve per pair and non-empty subset."""
+    if not states:
+        return np.zeros((0, 1))
+    qubits = states[0].qubits
+    iu, ju = np.triu_indices(len(states), 1)
+    per_size = np.zeros((iu.size, qubits + 1))
+    if iu.size == 0:
+        return per_size
+    stack = np.stack([s.mat for s in states])
+    for size in range(1, qubits + 1):
+        for keep in itertools.combinations(range(qubits), size):
+            red = _batched_reduce(stack, qubits, keep)
+            ev = np.linalg.eigvalsh(red[iu] - red[ju])
+            np.maximum(per_size[:, size], 0.5 * np.abs(ev).sum(axis=-1), out=per_size[:, size])
+    return np.maximum.accumulate(per_size, axis=1)

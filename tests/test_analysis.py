@@ -17,6 +17,7 @@ from decolab.analysis import (
     f_series,
     gate_only_step_bound,
     make_probes,
+    max_profile,
     min_worthless_depth,
     noise_rounds_at_level,
     pairwise_profiles,
@@ -32,9 +33,12 @@ from decolab.circuit import (
     PlacedGate,
     parse_circuit,
     random_circuit,
+    run_noisy,
 )
 from decolab.config import ResourceLimitError
-from decolab.linalg import DensityMatrix, random_density, trace_distance
+from decolab.linalg import DensityMatrix, random_density, random_pure_state, trace_distance
+
+from oracles import full_enumeration_profiles
 
 
 def wire_circuit(depth: int) -> Circuit:
@@ -221,6 +225,134 @@ class TestPairwiseProfiles:
 
     def test_single_state_has_no_pairs(self, rng):
         assert pairwise_profiles([random_density(1, rng)]).shape == (0, 2)
+        top = max_profile([random_density(3, rng)])
+        assert top.eigensolves == 0 and top.profile.tolist() == [0.0] * 4
+
+
+def _count_eigensolves(monkeypatch) -> list[int]:
+    """Patch ``eigvalsh`` to count the matrices it diagonalizes."""
+    seen = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        seen[0] += int(np.prod(m.shape[:-2]))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen
+
+
+def _matches_full_enumeration(states) -> int:
+    """Both pruned forms against the oracle to 1e-12; the max-only form's
+    eigensolve count."""
+    want = full_enumeration_profiles(states)
+    got = pairwise_profiles(states)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    top = max_profile(states)
+    assert np.max(np.abs(top.profile - want.max(axis=0, initial=0.0))) <= 1e-12
+    pairs = math.comb(len(states), 2)
+    assert 0 <= top.eigensolves <= pairs * (2 ** states[0].qubits - 1)
+    return top.eigensolves
+
+
+def _ghz(width: int, sign: int) -> DensityMatrix:
+    amplitudes = np.zeros(2**width)
+    amplitudes[0], amplitudes[-1] = 1.0, sign
+    return DensityMatrix.pure(amplitudes)
+
+
+#: width 3 -> 2 -> 0 -> 2 -> 3: trace-outs, a scalar level and preparations
+WIDTH_CHANGING = """k 2
+width 3
+layer width 2
+gate TRACEOUT [0] -> []
+gate CNOT [1,2] -> [0,1]
+layer
+gate H [0] -> [0]
+gate DEPHASE [1] -> [1]
+layer width 0
+gate TRACEOUT [0] -> []
+gate TRACEOUT [1] -> []
+layer width 2
+gate PREP_PLUS [] -> [0]
+gate PREP0 [] -> [1]
+layer width 3
+gate CNOT [0,1] -> [0,1]
+gate PREP1 [] -> [2]
+"""
+
+
+class TestPrunedEnumeration:
+    @pytest.mark.parametrize("width", range(7))
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "basis"])
+    def test_matches_full_enumeration(self, kind, width, rng):
+        if kind == "mixed":
+            states = [random_density(width, rng) for _ in range(5)]
+        elif kind == "pure":
+            states = [random_pure_state(width, rng) for _ in range(5)]
+        else:
+            picked = rng.choice(2**width, min(2**width, 8), replace=False)
+            states = [DensityMatrix.basis_state(width, int(b)) for b in picked]
+        _matches_full_enumeration(states)
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_pairs_equal_on_every_proper_subset(self, width):
+        # Bell Phi+ vs Phi- at width 2, GHZ+ vs GHZ- above
+        profile = max_profile([_ghz(width, 1), _ghz(width, -1)]).profile
+        assert np.max(np.abs(profile - ([0.0] * width + [1.0]))) <= 1e-12
+        _matches_full_enumeration([_ghz(width, 1), _ghz(width, -1), _ghz(width, 1)])
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_identical_states_stop_at_the_full_register(self, width, rng):
+        states = [random_density(width, rng)] * 4
+        assert _matches_full_enumeration(states) == math.comb(4, 2)
+        assert not pairwise_profiles(states).any()
+
+    def test_acceptance_fixture_first_circuit(self, monkeypatch):
+        # criterion 3's first run: k=2, eta=0.6, width 4, depth 12, seed 1000
+        circuit = random_circuit(2, 4, 12, 1000)
+        trajectories = [run_noisy(circuit, 0.6, p) for p in make_probes("basis", 4)]
+        levels = [[t.levels[level] for t in trajectories] for level in range(13)]
+        max_only_run = sum(_matches_full_enumeration(states) for states in levels)
+        seen = _count_eigensolves(monkeypatch)
+        for states in levels:
+            pairwise_profiles(states)
+        full = 13 * math.comb(16, 2) * (2**4 - 1)
+        assert max_only_run < seen[0] < full
+
+    def test_distance_report_through_width_changes(self, monkeypatch):
+        circuit = parse_circuit(WIDTH_CHANGING)
+        assert circuit.widths == (3, 2, 2, 0, 2, 3)
+        probes = make_probes("random:4", 3, seed=9)
+        seen = _count_eigensolves(monkeypatch)
+        report = distance_report(circuit, 0.3, probes)
+        assert report.eigensolves_run == seen[0]
+        assert report.eigensolves_full == math.comb(4, 2) * sum(2**w - 1 for w in circuit.widths)
+        assert report.eigensolves_run <= report.eigensolves_full
+        trajectories = [run_noisy(circuit, 0.3, p) for p in probes]
+        want = [
+            (level, n, value)
+            for level in range(circuit.depth + 1)
+            for n, value in enumerate(
+                full_enumeration_profiles([t.levels[level] for t in trajectories]).max(axis=0)
+            )
+        ]
+        assert [(r.level, r.n) for r in report.rows] == [(lv, n) for lv, n, _ in want]
+        assert max(abs(r.empirical_d - v) for r, (_, _, v) in zip(report.rows, want)) <= 1e-12
+
+    def test_non_finite_distance_raises_before_it_prunes(self, rng, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def nan_below_full_register(m):
+            ev = eigvalsh(m)
+            return ev if m.shape[-1] == 8 else np.full_like(ev, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nan_below_full_register)
+        states = [random_density(3, rng) for _ in range(3)]
+        for enumerate_subsets in (pairwise_profiles, max_profile):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                enumerate_subsets(states)
 
 
 class TestNoiseAction:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,54 @@ class TestSimulate:
                      "--output", str(tmp_path / "r.csv")])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_trace_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        settle = decolab.circuit.settle
+
+        def poisoned(mat):
+            mat = np.array(mat)
+            mat[0, 0] = np.nan
+            return settle(mat)
+
+        monkeypatch.setattr(decolab.circuit, "settle", poisoned)
+        code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert "trace drifted to nan" in capsys.readouterr().err
+
+    def test_non_finite_subset_distance_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        eigvalsh = np.linalg.eigvalsh
+
+        def nan_below_full_register(m):
+            ev = eigvalsh(m)
+            return ev if m.shape[-1] == 4 else np.full_like(ev, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nan_below_full_register)
+        code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert "non-finite trace distance" in capsys.readouterr().err
+
+    def test_eigensolve_counters_on_stderr_only(self, tmp_path, capsys):
+        path = tmp_path / "rand.qc"
+        circ = random_circuit(2, 4, 5, seed=8)
+        path.write_text(serialize_circuit(circ))
+        outputs = []
+        for name in ("a.csv", "b.csv"):
+            args = ["simulate", "--circuit", str(path), "--eta", "0.6",
+                    "--probes", "random:5", "--seed", "2", "--output", str(tmp_path / name)]
+            assert main(args) == 0
+            captured = capsys.readouterr()
+            assert "eigensolves" not in captured.out
+            outputs.append((tmp_path / name).read_bytes())
+        counters = dict(
+            item.split("=") for item in captured.err.split("simulate: ")[1].split()
+        )
+        full = math.comb(5, 2) * sum(2**w - 1 for w in circ.widths)
+        assert int(counters["eigensolves_full"]) == full
+        assert 0 < int(counters["eigensolves_run"]) <= full
+        assert outputs[0] == outputs[1]
+        assert b"eigensolves" not in outputs[0]
 
     def test_eta_out_of_range_exits_2(self, bell_path):
         assert main(["simulate", "--circuit", bell_path, "--eta", "1.5"]) == 2

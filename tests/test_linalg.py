@@ -254,6 +254,11 @@ class TestDensityMatrix:
         with pytest.raises(ArithmeticError):
             settle(np.diag([0.7, 0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_settle_refuses_a_non_finite_trace(self, bad):
+        with pytest.raises(ArithmeticError, match="drifted"):
+            settle(np.diag([bad, 0.5]).astype(complex))
+
 
 class TestPermutations:
     def test_swap_two_qubits_matches_gather(self, rng):
