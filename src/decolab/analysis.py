@@ -5,7 +5,9 @@ largest trace distance between any matching reduced states of at most ``n``
 qubits at level ``i`` of two runs.  It equals full enumeration of every
 qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
-evaluated.  On the analytic side, the scalar recursion
+evaluated.  :func:`distance_report` enumerates its levels side by side on
+``usable CPUs // BLAS threads`` threads (at least one), with the same result
+as one level after another.  On the analytic side, the scalar recursion
 
     f_0 = 0,    f_{i+1} = (eta + (1 - eta) * f_i) ** k
 
@@ -21,14 +23,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import depolarize_all
 from .circuit import Circuit, run_noisy
-from .config import ENUMERATION_CAP, ResourceLimitError
+from .config import BLAS_THREADS, BLAS_THREADS_ENV, ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
     check_subset,
@@ -229,7 +233,9 @@ def _batched_reduce(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np
     return red.reshape(stack.shape[0], d, d)
 
 
-_PAIR_CHUNK = 512
+#: bytes of each eigensolve batch's pair differences: the buffer, not the
+#: pair count, is what grows with the register (1 MiB a matrix at width 8)
+_DIFF_BYTES = 2 << 20
 
 
 def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarray, int]:
@@ -283,9 +289,12 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
                 continue
             keep = tuple(q for q in range(qubits) if level[i] >> q & 1)
             red = _batched_reduce(stack, qubits, keep)
-            for start in range(0, todo.size, _PAIR_CHUNK):
-                pairs = todo[start : start + _PAIR_CHUNK]
-                ev = np.linalg.eigvalsh(red[iu[pairs]] - red[ju[pairs]])
+            step = max(1, _DIFF_BYTES // red[0].nbytes)
+            for start in range(0, todo.size, step):
+                pairs = todo[start : start + step]
+                diff = np.take(red, iu[pairs], axis=0)
+                diff -= np.take(red, ju[pairs], axis=0)
+                ev = np.linalg.eigvalsh(diff)
                 dist = 0.5 * np.abs(ev).sum(axis=-1)
                 # NaN compares False and would prune every subset below it
                 if not np.isfinite(dist).all():
@@ -439,6 +448,17 @@ def _final_states(
     ]
 
 
+def _largest(distances: Iterable[float]) -> float:
+    """The largest distance (0 for none); ``max`` alone would keep its record
+    over a NaN, since NaN compares False."""
+    worst = 0.0
+    for d in distances:
+        if not math.isfinite(d):
+            raise ArithmeticError(f"non-finite trace distance {d!r}")
+        worst = max(worst, d)
+    return worst
+
+
 def practically_worthless(
     circuit: Circuit,
     eta: float,
@@ -457,9 +477,7 @@ def practically_worthless(
     if probes is None:
         probes = default_probes(circuit.in_width, seed)
     finals = _final_states(circuit, eta, probes)
-    worst = 0.0
-    for a, b in itertools.combinations(finals, 2):
-        worst = max(worst, trace_distance(a, b))
+    worst = _largest(trace_distance(a, b) for a, b in itertools.combinations(finals, 2))
     return worst <= eps, worst
 
 
@@ -478,16 +496,27 @@ def worthless(
     if probes is None:
         probes = default_probes(circuit.in_width, seed)
     finals = _final_states(circuit, eta, probes)
-    worst = 0.0
-    for state in finals:
-        mixed = DensityMatrix.maximally_mixed(state.qubits)
-        worst = max(worst, trace_distance(state, mixed))
+    worst = _largest(
+        trace_distance(state, DensityMatrix.maximally_mixed(state.qubits)) for state in finals
+    )
     return worst <= eps, worst
 
 
 # ---------------------------------------------------------------------------
 # per-level report
 # ---------------------------------------------------------------------------
+
+
+def _report_workers() -> int:
+    """Threads for a report's levels: the usable CPUs over the BLAS threads
+    each eigensolve may start (every CPU when the environment names no
+    positive count), at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = BLAS_THREADS
+    if any(name in os.environ for name in BLAS_THREADS_ENV):
+        named = [os.environ.get(name, "").strip() for name in BLAS_THREADS_ENV]
+        blas = next((int(n) for n in named if n.isdigit() and int(n) > 0), cpus)
+    return max(1, cpus // blas)
 
 
 class ReportRow(NamedTuple):
@@ -507,7 +536,8 @@ class DistanceReport:
     bound column uses the noise rounds actually absorbed by that level.
     ``eigensolves_run`` counts the (pair, subset) distances computed, out of
     the ``eigensolves_full`` that full enumeration computes: pairs times
-    ``2**width - 1`` non-empty subsets, summed over levels.
+    ``2**width - 1`` non-empty subsets, summed over levels.  ``workers`` is
+    the number of threads the levels' enumerations ran on.
     """
 
     k: int
@@ -518,6 +548,7 @@ class DistanceReport:
     practically_worthless: bool
     eigensolves_run: int
     eigensolves_full: int
+    workers: int
 
     def min_slack(self) -> float:
         return min((r.slack for r in self.rows), default=0.0)
@@ -538,15 +569,22 @@ def distance_report(
     ]
     depth = circuit.depth
     series = f_series(circuit.k, eta, max(noise_rounds_at_level(depth, depth, extra_noise_round), 0))
+    levels = [[t.levels[level] for t in trajectories] for level in range(depth + 1)]
+    workers = _report_workers()
+    # levels are independent once the trajectories exist, and LAPACK drops
+    # the GIL; results come back in level order
+    pool = ThreadPoolExecutor(workers)
+    try:
+        profiles = list(pool.map(max_profile, levels))
+    finally:
+        pool.shutdown(cancel_futures=True)
     rows: list[ReportRow] = []
     final_max = 0.0
     run = full = 0
-    for level in range(depth + 1):
-        states = [t.levels[level] for t in trajectories]
-        width = states[0].qubits
-        profile, eigensolves = max_profile(states)
+    for level, (profile, eigensolves) in enumerate(profiles):
+        width = len(profile) - 1
         run += eigensolves
-        full += math.comb(len(states), 2) * (2**width - 1)
+        full += math.comb(len(probes), 2) * (2**width - 1)
         rounds = noise_rounds_at_level(level, depth, extra_noise_round)
         for n in range(width + 1):
             emp = float(profile[n])
@@ -572,4 +610,5 @@ def distance_report(
         practically_worthless=final_max <= eps,
         eigensolves_run=run,
         eigensolves_full=full,
+        workers=workers,
     )

@@ -166,7 +166,7 @@ def cmd_simulate(config: RunConfig) -> int:
     )
     print(
         f"simulate: eigensolves_run={report.eigensolves_run} "
-        f"eigensolves_full={report.eigensolves_full}",
+        f"eigensolves_full={report.eigensolves_full} workers={report.workers}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -9,6 +9,7 @@ and all values are treated as immutable (matrix buffers are write-locked).
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -229,11 +230,14 @@ def hermitian_eigenvalues(
     """Eigenvalues of a Hermitian matrix, ascending.
 
     Rejects inputs whose anti-Hermitian part exceeds ``tol.herm``; the solve
-    itself runs on the symmetrized matrix.  Raises
-    ``numpy.linalg.LinAlgError`` if the solver fails to converge.
+    itself runs on the symmetrized matrix.  Raises ``ArithmeticError`` on a
+    non-finite entry (its residual is NaN) and ``numpy.linalg.LinAlgError``
+    if the solver fails to converge.
     """
     m = _as_square(m)
     residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if math.isnan(residual):  # NaN > tol is False: it would pass the check below
+        raise ArithmeticError("matrix has a non-finite entry")
     if residual > tol.herm:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     return np.linalg.eigvalsh(hermitian_part(m))

@@ -1,13 +1,15 @@
 """Reference implementations that only the tests use: explicit matrices the
-library's strided kernels are checked against, and the full subset
-enumeration its pruned one is checked against."""
+library's strided kernels are checked against, the full subset enumeration
+its pruned one is checked against, and the serial level loop its threaded
+report is checked against."""
 
 import itertools
 from typing import Sequence
 
 import numpy as np
 
-from decolab.analysis import _batched_reduce
+from decolab.analysis import MaxProfile, _batched_reduce, max_profile
+from decolab.circuit import Circuit, run_noisy
 from decolab.linalg import DensityMatrix, permute_matrix, tensor
 
 
@@ -60,3 +62,17 @@ def full_enumeration_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
             ev = np.linalg.eigvalsh(red[iu] - red[ju])
             np.maximum(per_size[:, size], 0.5 * np.abs(ev).sum(axis=-1), out=per_size[:, size])
     return np.maximum.accumulate(per_size, axis=1)
+
+
+def serial_level_profiles(
+    circuit: Circuit,
+    eta: float,
+    probes: Sequence[DensityMatrix],
+    extra_noise_round: bool = False,
+) -> list[MaxProfile]:
+    """``max_profile`` of every level of ``distance_report``'s trajectories,
+    one level after another in the calling thread."""
+    trajectories = [run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round) for p in probes]
+    return [
+        max_profile([t.levels[level] for t in trajectories]) for level in range(circuit.depth + 1)
+    ]

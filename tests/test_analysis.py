@@ -1,5 +1,9 @@
+import dataclasses
 import itertools
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from decolab.circuit import (
     Circuit,
     CircuitLayer,
     PlacedGate,
+    Trajectory,
     parse_circuit,
     random_circuit,
     run_noisy,
@@ -38,7 +43,8 @@ from decolab.circuit import (
 from decolab.config import ResourceLimitError
 from decolab.linalg import DensityMatrix, random_density, random_pure_state, trace_distance
 
-from oracles import full_enumeration_profiles
+import decolab.analysis
+from oracles import full_enumeration_profiles, serial_level_profiles
 
 
 def wire_circuit(depth: int) -> Circuit:
@@ -233,9 +239,11 @@ def _count_eigensolves(monkeypatch) -> list[int]:
     """Patch ``eigvalsh`` to count the matrices it diagonalizes."""
     seen = [0]
     eigvalsh = np.linalg.eigvalsh
+    lock = threading.Lock()  # distance_report's levels call it from several threads
 
     def counting(m):
-        seen[0] += int(np.prod(m.shape[:-2]))
+        with lock:
+            seen[0] += int(np.prod(m.shape[:-2]))
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -354,6 +362,74 @@ class TestPrunedEnumeration:
             with pytest.raises(ArithmeticError, match="non-finite"):
                 enumerate_subsets(states)
 
+    def test_difference_batches_are_capped_in_bytes(self, rng):
+        # 120 pairs of 64x64 differences: 7.5 MiB a full-size temporary; the
+        # uncapped batch built three of them and peaked at ~17 MB
+        states = [random_density(6, rng) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            top = max_profile(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert np.max(np.abs(top.profile - full_enumeration_profiles(states).max(axis=0))) <= 1e-12
+
+
+def _use_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``distance_report`` see ``cpus`` usable CPUs and single-threaded BLAS."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+
+
+class TestLevelPool:
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("extra_noise_round", [False, True])
+    @pytest.mark.parametrize("case", ["random", "width-changing"])
+    def test_report_equals_the_serial_level_loop(self, case, extra_noise_round, cpus, monkeypatch):
+        if case == "random":
+            circuit, probes = random_circuit(2, 4, 5, seed=3), make_probes("random:5", 4, seed=4)
+        else:
+            circuit, probes = parse_circuit(WIDTH_CHANGING), make_probes("random:4", 3, seed=9)
+        _use_cpus(monkeypatch, cpus)
+        report = distance_report(circuit, 0.4, probes, extra_noise_round=extra_noise_round)
+        want = serial_level_profiles(circuit, 0.4, probes, extra_noise_round=extra_noise_round)
+        assert report.workers == cpus
+        assert report.eigensolves_run == sum(p.eigensolves for p in want)
+        assert [(r.level, r.i_width, r.n, r.empirical_d) for r in report.rows] == [
+            (level, len(p.profile) - 1, n, float(d))
+            for level, p in enumerate(want)
+            for n, d in enumerate(p.profile)
+        ]
+
+    def test_one_worker_changes_nothing(self, monkeypatch):
+        circuit = parse_circuit(WIDTH_CHANGING)
+        probes = make_probes("random:4", 3, seed=9)
+        pooled = distance_report(circuit, 0.3, probes)
+        # the environment names one BLAS thread per usable CPU: one level at a time
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(len(os.sched_getaffinity(0))))
+        single = distance_report(circuit, 0.3, probes)
+        assert single.workers == 1
+        assert single == dataclasses.replace(pooled, workers=1)
+
+    @pytest.mark.parametrize(
+        "env,workers",
+        [
+            ({}, 4),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+            ({"OMP_NUM_THREADS": "3"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ],
+    )
+    def test_workers_share_the_cpus_with_blas_threads(self, env, workers, monkeypatch):
+        _use_cpus(monkeypatch, 4)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert decolab.analysis._report_workers() == workers
+
 
 class TestNoiseAction:
     def test_eta_zero_residual_is_exactly_zero(self, rng):
@@ -424,6 +500,26 @@ class TestWorthlessness:
         # ... yet all inputs agree, so the pairwise notion does hold
         flag_p, dist_p = practically_worthless(c, 0.95)
         assert flag_p and dist_p < 1e-10
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
+    def test_nan_final_state_is_a_numerical_failure(self, verdict, qubits, monkeypatch):
+        # settle checks only the trace, so NaN off-diagonals get through it
+        def poisoned(circuit, eta, rho0, extra_noise_round=False):
+            mat = np.array(rho0.mat)
+            mat[0, -1] = mat[-1, 0] = np.nan
+            return Trajectory((rho0, DensityMatrix(rho0.qubits, mat)), eta=eta)
+
+        monkeypatch.setattr(decolab.analysis, "run_noisy", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            verdict(wire_circuit(1), 0.5, probes=make_probes("basis", qubits))
+
+    @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
+    def test_a_nan_distance_after_the_first_is_not_dropped(self, verdict, monkeypatch):
+        distances = iter([0.5, np.nan, 0.25, 0.25, 0.25, 0.25])
+        monkeypatch.setattr(decolab.analysis, "trace_distance", lambda a, b: next(distances))
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            verdict(wire_circuit(2), 0.5, probes=make_probes("random:3", 1))
 
     @given(seed=st.integers(0, 10**5))
     @settings(max_examples=10)

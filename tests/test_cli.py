@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import decolab.analysis
 import decolab.circuit
-from decolab.circuit import random_circuit, serialize_circuit
+from decolab.circuit import Trajectory, random_circuit, serialize_circuit
 from decolab.cli import main
+from decolab.linalg import DensityMatrix
 
 BELL = "k 2\nwidth 2\nlayer\ngate H [0] -> [0]\nlayer\ngate CNOT [0,1] -> [0,1]\n"
 
@@ -159,6 +163,40 @@ class TestSimulate:
         assert code == 4
         assert "non-finite trace distance" in capsys.readouterr().err
 
+    def test_numerical_failure_in_a_late_level_worker_exits_4(
+        self, wire11_path, tmp_path, monkeypatch, capsys
+    ):
+        run_noisy = decolab.analysis.run_noisy
+
+        def nan_final_level(circuit, eta, rho0, extra_noise_round=False):
+            levels = list(run_noisy(circuit, eta, rho0, extra_noise_round).levels)
+            mat = np.array(levels[-1].mat)
+            mat[0, 1] = mat[1, 0] = np.nan
+            levels[-1] = DensityMatrix(1, mat)
+            return Trajectory(tuple(levels), eta=eta)
+
+        max_profile = decolab.analysis.max_profile
+        raised_in = []
+
+        def recording(states):
+            try:
+                return max_profile(states)
+            except ArithmeticError:
+                raised_in.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(decolab.analysis, "run_noisy", nan_final_level)
+        monkeypatch.setattr(decolab.analysis, "max_profile", recording)
+        with np.errstate(invalid="ignore"):
+            code = main(["simulate", "--circuit", wire11_path, "--eta", "0.5",
+                         "--output", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert "non-finite trace distance" in capsys.readouterr().err
+        assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
+
     def test_eigensolve_counters_on_stderr_only(self, tmp_path, capsys):
         path = tmp_path / "rand.qc"
         circ = random_circuit(2, 4, 5, seed=8)
@@ -177,6 +215,7 @@ class TestSimulate:
         full = math.comb(5, 2) * sum(2**w - 1 for w in circ.widths)
         assert int(counters["eigensolves_full"]) == full
         assert 0 < int(counters["eigensolves_run"]) <= full
+        assert int(counters["workers"]) >= 1
         assert outputs[0] == outputs[1]
         assert b"eigensolves" not in outputs[0]
 

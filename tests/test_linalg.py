@@ -144,6 +144,14 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_is_a_numerical_failure(self, bad, where):
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = m[where[::-1]] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            hermitian_eigenvalues(m)
+
 
 class TestTraceDistance:
     def test_identical_states(self, rng):
