@@ -5,9 +5,14 @@ largest trace distance between any matching reduced states of at most ``n``
 qubits at level ``i`` of two runs.  It equals full enumeration of every
 qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
-evaluated.  :func:`distance_report` enumerates its levels side by side on
-``usable CPUs // BLAS threads`` threads (at least one), with the same result
-as one level after another.  On the analytic side, the scalar recursion
+evaluated.  Where every state of a level has a certified low-rank factor
+``rho ~ F F^dagger`` (``sqrt(dim) / 2 * ||rho - F F^dagger||_F <= 1e-13``,
+so each subset distance moves by at most ``2e-13``), a subset's distance
+comes from a small ``R J R^dagger`` eigenproblem instead of the dense one;
+pure levels, such as the first two of a unitary circuit, take that path.
+:func:`distance_report` enumerates its levels side by side on ``usable
+CPUs // BLAS threads`` threads (at least one), with the same result as one
+level after another.  On the analytic side, the scalar recursion
 
     f_0 = 0,    f_{i+1} = (eta + (1 - eta) * f_i) ** k
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -31,11 +37,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .channels import depolarize_all
-from .circuit import Circuit, run_noisy
+from .circuit import Circuit, _noisy_levels, run_noisy
 from .config import BLAS_THREADS, BLAS_THREADS_ENV, ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
     check_subset,
+    low_rank_factor,
     partial_trace,
     permute_matrix,
     random_pure_state,
@@ -237,8 +244,65 @@ def _batched_reduce(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np
 #: pair count, is what grows with the register (1 MiB a matrix at width 8)
 _DIFF_BYTES = 2 << 20
 
+#: certificate of the low-rank factors: each state's factor is within this
+#: (half trace norm) of it, so every subset distance moves by at most 2 * tol
+_FACTOR_TOL = 1e-13
 
-def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarray, int]:
+
+def _factors(states: Sequence[DensityMatrix], qubits: int) -> np.ndarray | None:
+    """Certified factors ``F F^dagger`` of every state, zero-padded to the
+    largest rank ``r``, as one ``(states, 2**qubits, r)`` stack; ``None`` once
+    a state has no certified factor with ``2 * r < 2**qubits``, the ranks
+    at which some subset shrinks."""
+    max_rank = (1 << qubits) // 2 - 1
+    factors = []
+    for s in states:
+        f = low_rank_factor(s.mat, max_rank, _FACTOR_TOL)
+        if f is None:
+            return None
+        factors.append(f)
+    rank = max(f.shape[1] for f in factors)
+    return np.stack([np.pad(f, ((0, 0), (0, rank - f.shape[1]))) for f in factors])
+
+
+def _chunks(todo: np.ndarray, pair_bytes: int):
+    step = max(1, _DIFF_BYTES // pair_bytes)
+    return (todo[start : start + step] for start in range(0, todo.size, step))
+
+
+def _dense_distances(stack, qubits, keep, iu, ju, todo) -> np.ndarray:
+    """Distances of the pairs ``todo`` on ``keep``: reduce, subtract, eigensolve."""
+    red = _batched_reduce(stack, qubits, keep)
+    out = []
+    for pairs in _chunks(todo, red[0].nbytes):
+        diff = np.take(red, iu[pairs], axis=0)
+        diff -= np.take(red, ju[pairs], axis=0)
+        out.append(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1))
+    return np.concatenate(out)
+
+
+def _factored_distances(factors, qubits, keep, iu, ju, todo) -> np.ndarray:
+    """The same from the factors: with ``X = [M_a M_b] = QR`` and ``J =
+    diag(I, -I)``, ``rho_a - rho_b = X J X^dagger`` on ``keep`` has the
+    nonzero eigenvalues of the small Hermitian ``R J R^dagger``.  ``M`` is a
+    factor with the kept qubits as rows, the traced ones and the rank as
+    columns, so that ``M M^dagger`` is the reduced state."""
+    n, _, rank = factors.shape
+    order = keep + tuple(q for q in range(qubits) if q not in keep)
+    rows = factors.reshape((n,) + (2,) * qubits + (rank,))
+    rows = rows.transpose([0, *(1 + q for q in order), 1 + qubits]).reshape(n, 1 << len(keep), -1)
+    c = rows.shape[-1]
+    out = []
+    for pairs in _chunks(todo, 2 * rows[0].nbytes):
+        x = np.concatenate((rows[iu[pairs]], rows[ju[pairs]]), axis=-1)
+        r = np.linalg.qr(x, mode="r")
+        a, b = r[..., :c], r[..., c:]
+        h = a @ a.conj().swapaxes(-1, -2) - b @ b.conj().swapaxes(-1, -2)
+        out.append(0.5 * np.abs(np.linalg.eigvalsh(h)).sum(axis=-1))
+    return np.concatenate(out)
+
+
+def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarray, int, int]:
     """Largest subset distances, by enumeration pruned with the data-processing
     inequality.
 
@@ -252,14 +316,18 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     when ``per_pair``, the best over all pairs otherwise.  Every skipped
     subset is thus provably no larger than one that was evaluated.
 
-    Returns ``(best, eigensolves)``: ``best[j, s]`` is pair ``j``'s largest
-    evaluated distance over subsets of size ``s`` (column 0 is 0), exact per
-    pair when ``per_pair`` and exact only in its maximum over pairs
-    otherwise, and ``eigensolves`` counts the (pair, subset) distances
-    computed.
+    When every state has a certified factor of rank ``r`` (:func:`_factors`),
+    a subset of size ``s`` with ``w = 2**(qubits - s) * 2r < 2**s`` is solved
+    as a ``w x w`` eigenproblem instead of a ``2**s x 2**s`` one.
+
+    Returns ``(best, eigensolves, factored)``: ``best[j, s]`` is pair ``j``'s
+    largest evaluated distance over subsets of size ``s`` (column 0 is 0),
+    exact per pair when ``per_pair`` and exact only in its maximum over pairs
+    otherwise; ``eigensolves`` counts the (pair, subset) distances computed
+    and ``factored`` those among them solved from the factors.
     """
     if not states:
-        return np.zeros((0, 1)), 0
+        return np.zeros((0, 1)), 0, 0
     qubits = states[0].qubits
     for s in states:
         if s.qubits != qubits:
@@ -268,41 +336,40 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     iu, ju = np.triu_indices(len(states), 1)
     best = np.zeros((iu.size, qubits + 1))
     if iu.size == 0:
-        return best, 0
+        return best, 0, 0
     stack = np.stack([s.mat for s in states])
+    factors = _factors(states, qubits)
     # row ``mask`` (qubit ``q`` kept iff bit ``q`` is set) holds each pair's
     # distance once evaluated, its bound once skipped
     value = np.full((1 << qubits, iu.size), np.inf)
     masks = np.arange(1 << qubits)
     sizes = np.array([int(m).bit_count() for m in masks])
     bits = 1 << np.arange(qubits)
-    eigensolves = 0
+    eigensolves = factored = 0
     for size in range(qubits, 0, -1):
         level = masks[sizes == size]
         # a bit already in the subset maps it to itself, still +inf here
         bound = value[level[:, None] | bits].min(axis=1)
         value[level] = bound
+        low_rank = factors is not None and (factors.shape[-1] << (qubits - size + 1)) < (1 << size)
         for i in np.argsort(-bound.max(axis=1), kind="stable"):
             record = best[:, size] if per_pair else best[:, size].max()
             todo = np.flatnonzero(bound[i] > record)
             if not todo.size:
                 continue
             keep = tuple(q for q in range(qubits) if level[i] >> q & 1)
-            red = _batched_reduce(stack, qubits, keep)
-            step = max(1, _DIFF_BYTES // red[0].nbytes)
-            for start in range(0, todo.size, step):
-                pairs = todo[start : start + step]
-                diff = np.take(red, iu[pairs], axis=0)
-                diff -= np.take(red, ju[pairs], axis=0)
-                ev = np.linalg.eigvalsh(diff)
-                dist = 0.5 * np.abs(ev).sum(axis=-1)
-                # NaN compares False and would prune every subset below it
-                if not np.isfinite(dist).all():
-                    raise ArithmeticError(f"non-finite trace distance on qubits {keep}")
-                value[level[i], pairs] = dist
-                best[pairs, size] = np.maximum(best[pairs, size], dist)
+            if low_rank:
+                dist = _factored_distances(factors, qubits, keep, iu, ju, todo)
+                factored += todo.size
+            else:
+                dist = _dense_distances(stack, qubits, keep, iu, ju, todo)
+            # NaN compares False and would prune every subset below it
+            if not np.isfinite(dist).all():
+                raise ArithmeticError(f"non-finite trace distance on qubits {keep}")
+            value[level[i], todo] = dist
+            best[todo, size] = np.maximum(best[todo, size], dist)
             eigensolves += todo.size
-    return best, eigensolves
+    return best, eigensolves, factored
 
 
 def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
@@ -315,20 +382,21 @@ def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
     rounding: subsets are pruned only where the data-processing inequality
     proves them no larger than one evaluated for the same pair.
     """
-    best, _ = _top_down(states, per_pair=True)
+    best, _, _ = _top_down(states, per_pair=True)
     return np.maximum.accumulate(best, axis=1)
 
 
 class MaxProfile(NamedTuple):
     profile: np.ndarray  # profile[n]: the largest distance over pairs and |A| <= n
     eigensolves: int  # (pair, subset) distances computed
+    factored: int  # those among them solved from low-rank factors
 
 
 def max_profile(states: Sequence[DensityMatrix]) -> MaxProfile:
     """``pairwise_profiles(states).max(axis=0)`` (zeros without pairs), pruning
     every pair that cannot raise the maximum over all pairs."""
-    best, eigensolves = _top_down(states, per_pair=False)
-    return MaxProfile(np.maximum.accumulate(best.max(axis=0, initial=0.0)), eigensolves)
+    best, eigensolves, factored = _top_down(states, per_pair=False)
+    return MaxProfile(np.maximum.accumulate(best.max(axis=0, initial=0.0)), eigensolves, factored)
 
 
 def distance_profile(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -442,10 +510,8 @@ def _final_states(
     probes: Sequence[DensityMatrix],
     extra_noise_round: bool = False,
 ) -> list[DensityMatrix]:
-    return [
-        run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round).levels[-1]
-        for p in probes
-    ]
+    """Each probe's last level, holding no earlier level past its successor."""
+    return [deque(_noisy_levels(circuit, eta, p, extra_noise_round), maxlen=1)[0] for p in probes]
 
 
 def _largest(distances: Iterable[float]) -> float:
@@ -536,8 +602,10 @@ class DistanceReport:
     bound column uses the noise rounds actually absorbed by that level.
     ``eigensolves_run`` counts the (pair, subset) distances computed, out of
     the ``eigensolves_full`` that full enumeration computes: pairs times
-    ``2**width - 1`` non-empty subsets, summed over levels.  ``workers`` is
-    the number of threads the levels' enumerations ran on.
+    ``2**width - 1`` non-empty subsets, summed over levels, and
+    ``eigensolves_factored`` those among the run solved from low-rank
+    factors.  ``workers`` is the number of threads the levels' enumerations
+    ran on.
     """
 
     k: int
@@ -548,6 +616,7 @@ class DistanceReport:
     practically_worthless: bool
     eigensolves_run: int
     eigensolves_full: int
+    eigensolves_factored: int
     workers: int
 
     def min_slack(self) -> float:
@@ -580,10 +649,11 @@ def distance_report(
         pool.shutdown(cancel_futures=True)
     rows: list[ReportRow] = []
     final_max = 0.0
-    run = full = 0
-    for level, (profile, eigensolves) in enumerate(profiles):
+    run = full = factored = 0
+    for level, (profile, eigensolves, level_factored) in enumerate(profiles):
         width = len(profile) - 1
         run += eigensolves
+        factored += level_factored
         full += math.comb(len(probes), 2) * (2**width - 1)
         rounds = noise_rounds_at_level(level, depth, extra_noise_round)
         for n in range(width + 1):
@@ -610,5 +680,6 @@ def distance_report(
         practically_worthless=final_max <= eps,
         eigensolves_run=run,
         eigensolves_full=full,
+        eigensolves_factored=factored,
         workers=workers,
     )

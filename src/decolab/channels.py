@@ -97,6 +97,8 @@ def channel_from_unitary(u: np.ndarray, label: str = "") -> QuantumChannel:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got {u.shape}")
     n = _log2_dim(u.shape[0], "unitary")
+    if not np.isfinite(u).all():  # a NaN residual would pass the check below
+        raise ValueError("unitary has a non-finite entry")
     residual = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if residual > DEFAULT_TOLERANCES.unitary:
         raise ValueError(f"matrix is not unitary (residual {residual:.3e})")

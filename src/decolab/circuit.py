@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,22 +270,29 @@ def run_noisy(
     one after the last (a sensitivity knob, off by default).  Recorded level
     ``i`` is the state before the noise round feeding layer ``i``.
     """
+    return Trajectory(tuple(_noisy_levels(circuit, eta, rho0, extra_noise_round)), eta=eta)
+
+
+def _noisy_levels(
+    circuit: Circuit, eta: float, rho0: DensityMatrix, extra_noise_round: bool
+) -> Iterator[DensityMatrix]:
+    """:func:`run_noisy`'s levels one at a time, each dropped once the caller
+    lets go of it; the arguments are checked before the first level."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if rho0.qubits != circuit.in_width:
         raise CircuitError(
             f"circuit expects {circuit.in_width} input qubits, got {rho0.qubits}"
         )
-    levels = [rho0]
+    yield rho0
     cur = rho0
-    for i, layer in enumerate(circuit.layers):
-        if i >= 1 or extra_noise_round:
+    for i, layer in enumerate(circuit.layers, start=1):
+        if i > 1 or extra_noise_round:
             cur = depolarize_all(cur, eta)
         cur = apply_layer(layer, cur)
-        levels.append(cur)
-    if extra_noise_round and circuit.depth > 0:
-        levels[-1] = depolarize_all(levels[-1], eta)
-    return Trajectory(tuple(levels), eta=eta)
+        if extra_noise_round and i == circuit.depth:
+            cur = depolarize_all(cur, eta)
+        yield cur
 
 
 def random_circuit(k: int, width: int, depth: int, seed: int) -> Circuit:
@@ -356,6 +363,11 @@ def _split_gate_line(rest: str, line: int) -> tuple[str, tuple[int, ...], tuple[
     return head, _parse_indices(m.group(1), line), _parse_indices(m.group(2), line)
 
 
+def _is_count(token: str) -> bool:
+    # ASCII only: str.isdigit also holds for digits int() rejects, such as "\u00b2"
+    return token.isascii() and token.isdigit()
+
+
 class _LayerBuilder:
     def __init__(self, in_width: int, out_width: int, line: int):
         self.in_width = in_width
@@ -404,11 +416,11 @@ def parse_circuit(text: str) -> Circuit:
         if keyword == "k":
             if k is not None:
                 raise CircuitParseError(lineno, "duplicate 'k' header")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _is_count(tokens[1]):
                 raise CircuitParseError(lineno, "expected 'k <int>'")
             k = int(tokens[1])
         elif keyword == "width" and in_width is None:
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _is_count(tokens[1]):
                 raise CircuitParseError(lineno, "expected 'width <int>'")
             in_width = int(tokens[1])
             width = in_width
@@ -421,7 +433,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(lineno, "'k' and 'width' headers must come first")
             close_builder()
             out_width = width
-            if len(tokens) == 3 and tokens[1] == "width" and tokens[2].isdigit():
+            if len(tokens) == 3 and tokens[1] == "width" and _is_count(tokens[2]):
                 out_width = int(tokens[2])
             elif len(tokens) != 1:
                 raise CircuitParseError(lineno, "expected 'layer' or 'layer width <int>'")

@@ -166,7 +166,8 @@ def cmd_simulate(config: RunConfig) -> int:
     )
     print(
         f"simulate: eigensolves_run={report.eigensolves_run} "
-        f"eigensolves_full={report.eigensolves_full} workers={report.workers}",
+        f"eigensolves_full={report.eigensolves_full} workers={report.workers} "
+        f"factored={report.eigensolves_factored}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -35,7 +35,6 @@ from decolab.circuit import (
     Circuit,
     CircuitLayer,
     PlacedGate,
-    Trajectory,
     parse_circuit,
     random_circuit,
     run_noisy,
@@ -291,6 +290,13 @@ gate PREP1 [] -> [2]
 """
 
 
+def _low_rank_state(width: int, rank: int, rng) -> DensityMatrix:
+    """A random mixture of ``rank`` random pure states."""
+    weights = rng.uniform(0.2, 1.0, rank)
+    mixed = sum(w * random_pure_state(width, rng).mat for w in weights)
+    return DensityMatrix(width, mixed / weights.sum())
+
+
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("width", range(7))
     @pytest.mark.parametrize("kind", ["mixed", "pure", "basis"])
@@ -338,7 +344,14 @@ class TestPrunedEnumeration:
         assert report.eigensolves_run == seen[0]
         assert report.eigensolves_full == math.comb(4, 2) * sum(2**w - 1 for w in circuit.widths)
         assert report.eigensolves_run <= report.eigensolves_full
+        # the pure width-3 input level is factored; the others are full rank or
+        # too narrow to shrink (width 2 needs rank-1 states, width 0 has no subsets)
         trajectories = [run_noisy(circuit, 0.3, p) for p in probes]
+        assert report.eigensolves_factored == sum(
+            max_profile([t.levels[level] for t in trajectories]).factored
+            for level in range(circuit.depth + 1)
+        )
+        assert 0 < report.eigensolves_factored < report.eigensolves_run
         want = [
             (level, n, value)
             for level in range(circuit.depth + 1)
@@ -361,6 +374,52 @@ class TestPrunedEnumeration:
         for enumerate_subsets in (pairwise_profiles, max_profile):
             with pytest.raises(ArithmeticError, match="non-finite"):
                 enumerate_subsets(states)
+
+    @pytest.mark.parametrize("width", range(2, 7))
+    @pytest.mark.parametrize(
+        "ranks", [(1,), (2,), (1, 2, 3)], ids=["rank-1", "rank-2", "mixed-rank"]
+    )
+    def test_low_rank_levels_are_factored(self, ranks, width, rng):
+        states = [_low_rank_state(width, ranks[j % len(ranks)], rng) for j in range(6)]
+        _matches_full_enumeration(states)
+        # rank r shrinks the size-s subsets with 2**(width - s) * 2r < 2**s
+        assert (max_profile(states).factored > 0) == (2 * max(ranks) < 2**width)
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_near_pure_states_fall_back_to_dense(self, width, rng):
+        pure = [random_pure_state(width, rng).mat for _ in range(4)]
+        depolarized = [(1 - 1e-9) * m + 1e-9 * np.eye(2**width) / 2**width for m in pure]
+        drift = np.zeros((2**width, 2**width), dtype=complex)
+        drift[0, -1] = drift[-1, 0] = 1e-9  # invisible to the residual trace
+        for mats in (depolarized, [m + drift for m in pure]):
+            states = [DensityMatrix(width, m) for m in mats]
+            _matches_full_enumeration(states)
+            assert max_profile(states).factored == 0
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 15)])
+    def test_a_non_finite_state_is_not_factored(self, where, rng):
+        mats = [np.array(random_pure_state(4, rng).mat) for _ in range(3)]
+        mats[1][where] = mats[1][where[::-1]] = np.nan
+        states = [DensityMatrix(4, m) for m in mats]
+        # (0, 15) reaches no reduced state: only the full register, factored
+        # for pure states, sees it, and a factor accepted on a NaN
+        # certificate would read every distance as finite
+        for enumerate_subsets in (pairwise_profiles, max_profile):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                (ArithmeticError, np.linalg.LinAlgError)
+            ):
+                enumerate_subsets(states)
+
+    def test_factored_on_pure_levels_only(self):
+        circuit = random_circuit(2, 5, 4, seed=11)
+        trajectories = [run_noisy(circuit, 0.6, p) for p in make_probes("random:5", 5, seed=12)]
+        for level in range(circuit.depth + 1):
+            states = [t.levels[level] for t in trajectories]
+            top = max_profile(states)
+            # the first layer acts before any noise: levels 0 and 1 are pure
+            assert (top.factored > 0) == (level <= 1)
+            assert top.factored <= top.eigensolves
+            _matches_full_enumeration(states)
 
     def test_difference_batches_are_capped_in_bytes(self, rng):
         # 120 pairs of 64x64 differences: 7.5 MiB a full-size temporary; the
@@ -505,12 +564,14 @@ class TestWorthlessness:
     @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
     def test_nan_final_state_is_a_numerical_failure(self, verdict, qubits, monkeypatch):
         # settle checks only the trace, so NaN off-diagonals get through it
-        def poisoned(circuit, eta, rho0, extra_noise_round=False):
+        def poisoned(circuit, eta, rho0, extra_noise_round):
             mat = np.array(rho0.mat)
             mat[0, -1] = mat[-1, 0] = np.nan
-            return Trajectory((rho0, DensityMatrix(rho0.qubits, mat)), eta=eta)
+            yield rho0
+            yield DensityMatrix(rho0.qubits, mat)
 
-        monkeypatch.setattr(decolab.analysis, "run_noisy", poisoned)
+        # the verdicts run their probes through run_noisy's level generator
+        monkeypatch.setattr(decolab.analysis, "_noisy_levels", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
             verdict(wire_circuit(1), 0.5, probes=make_probes("basis", qubits))
 
@@ -520,6 +581,28 @@ class TestWorthlessness:
         monkeypatch.setattr(decolab.analysis, "trace_distance", lambda a, b: next(distances))
         with pytest.raises(ArithmeticError, match="non-finite"):
             verdict(wire_circuit(2), 0.5, probes=make_probes("random:3", 1))
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_final_states_are_the_last_levels(self, extra):
+        circuit = random_circuit(2, 3, 4, seed=6)
+        probes = make_probes("random:3", 3, seed=7)
+        finals = decolab.analysis._final_states(circuit, 0.4, probes, extra_noise_round=extra)
+        for final, p in zip(finals, probes, strict=True):
+            last = run_noisy(circuit, 0.4, p, extra_noise_round=extra).levels[-1]
+            assert np.array_equal(final.mat, last.mat)
+
+    @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
+    def test_verdicts_keep_only_the_final_states(self, verdict):
+        # 11 levels of 1 MiB per probe; holding a whole trajectory peaked at 14 MiB
+        circuit = random_circuit(2, 8, 10, seed=1)
+        probes = make_probes("random:2", 8, seed=2)
+        tracemalloc.start()
+        try:
+            verdict(circuit, 0.5, probes=probes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @given(seed=st.integers(0, 10**5))
     @settings(max_examples=10)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,113 @@ class TestParser:
         assert c.depth == 1
 
 
+#: valid circuits to mutate: library gates, unitary lines, width changes
+_FUZZ_SEEDS = [
+    serialize_circuit(random_circuit(2, 3, 2, seed=4)),
+    serialize_circuit(random_circuit(3, 4, 1, seed=5)),
+    """k 2
+width 3
+layer width 2
+gate TRACEOUT [0] -> []
+gate CNOT [1,2] -> [0,1]
+layer
+gate DEPHASE [1] -> [1]  # a comment
+layer width 0
+gate TRACEOUT [0] -> []
+gate TRACEOUT [1] -> []
+layer width 2
+gate PREP_PLUS [] -> [0]
+gate PREP0 [] -> [1]
+layer
+unitary 0+0i 1+0i 1+0i 0+0i [1] -> [1]
+""",
+]
+_FUZZ_TOKENS = st.sampled_from(
+    ["k", "width", "layer", "gate", "unitary", "->", "[", "]", ",", "#", "\n", " ", "0",
+     "1", "-1", "99", "10" * 40, "nan", "inf", "1e309", "H", "CNOT", "TRACEOUT", "PREP0",
+     "DEPHASE", "\u00b2", "\u0661", "\uff11", "1+0i", "0+1i", "1_0", "0x1", "\x00"]
+)
+
+#: every Unicode digit and number character, which str.isdigit may accept
+_NUMERALS = st.characters(categories=("Nd", "No")) | st.sampled_from("0123456789")
+
+
+def _parse_or_reject(text: str) -> None:
+    """Parsing either succeeds or fails with one of the two documented errors."""
+    try:
+        parse_circuit(text)
+    except (CircuitParseError, ResourceLimitError):
+        pass
+
+
+class TestParserFuzz:
+    @given(text=st.text(max_size=400))
+    @settings(max_examples=300)
+    def test_arbitrary_text(self, text):
+        _parse_or_reject(text)
+
+    @given(values=st.lists(st.text(_NUMERALS, min_size=1, max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=300)
+    def test_arbitrary_numerals_in_the_counts(self, values):
+        k, width, out = values
+        _parse_or_reject(f"k {k}\nwidth {width}\nlayer width {out}\ngate PREP0 [] -> [0]\n")
+
+    @given(
+        seed=st.sampled_from(_FUZZ_SEEDS),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["insert", "replace", "replace word", "delete", "duplicate line", "swap lines"]
+                ),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.one_of(_FUZZ_TOKENS, st.text(max_size=4)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_mutated_valid_circuits(self, seed, edits):
+        text = seed
+        for op, a, b, token in edits:
+            lines = text.split("\n")
+            i, j = a % (len(text) + 1), b % len(lines)
+            if op == "insert":
+                text = text[:i] + token + text[i:]
+            elif op == "replace":
+                text = text[:i] + token + text[i + len(token) :]
+            elif op == "replace word":
+                parts = re.split(r"(\s+)", text)  # words at even positions
+                parts[2 * (a % ((len(parts) + 1) // 2))] = token
+                text = "".join(parts)
+            elif op == "delete":
+                text = text[:i] + text[i + 1 + b % 8 :]
+            elif op == "duplicate line":
+                text = "\n".join(lines[: j + 1] + lines[j:])
+            else:
+                k = a % len(lines)
+                lines[j], lines[k] = lines[k], lines[j]
+                text = "\n".join(lines)
+        _parse_or_reject(text)
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k \u00b2\nwidth 1\n",
+            "k 1\nwidth \u00b2\n",
+            "k 1\nwidth 1\nlayer width \u00b2\n",
+            "k 1\nwidth 1\nlayer\nunitary nan+0i 0+0i 0+0i 1+0i [0] -> [0]\n",
+            "k 1\nwidth 1\nlayer\nunitary 1+0i 0+0i 0+0i inf+0i [0] -> [0]\n",
+        ],
+        ids=["k-superscript", "width-superscript", "layer-superscript", "nan", "inf"],
+    )
+    def test_found_cases_are_parse_errors(self, text):
+        with pytest.raises(CircuitParseError):
+            parse_circuit(text)
+
+
 class TestSerialization:
     def test_roundtrip_named_gates(self):
         c1 = parse_circuit(BELL_TEXT)
@@ -357,6 +466,20 @@ class TestRunNoisy:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             run_noisy(wire_circuit(1), 1.5, DensityMatrix.basis_state(1, 0))
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_levels_equal_the_former_level_loop(self, rng, extra):
+        circ = random_mixed_circuit(5, 3, depth=4)
+        rho = random_density(3, rng)
+        want = [rho]
+        for i, layer in enumerate(circ.layers):
+            cur = depolarize_all(want[-1], 0.3) if i >= 1 or extra else want[-1]
+            want.append(apply_layer(layer, cur))
+        if extra:
+            want[-1] = depolarize_all(want[-1], 0.3)
+        got = run_noisy(circ, 0.3, rho, extra_noise_round=extra).levels
+        assert len(got) == len(want)
+        assert all(np.array_equal(a.mat, b.mat) for a, b in zip(got, want))
 
 
 class TestLayerApplication:

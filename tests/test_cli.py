@@ -207,7 +207,7 @@ class TestSimulate:
                     "--probes", "random:5", "--seed", "2", "--output", str(tmp_path / name)]
             assert main(args) == 0
             captured = capsys.readouterr()
-            assert "eigensolves" not in captured.out
+            assert "eigensolves" not in captured.out and "factored" not in captured.out
             outputs.append((tmp_path / name).read_bytes())
         counters = dict(
             item.split("=") for item in captured.err.split("simulate: ")[1].split()
@@ -216,8 +216,11 @@ class TestSimulate:
         assert int(counters["eigensolves_full"]) == full
         assert 0 < int(counters["eigensolves_run"]) <= full
         assert int(counters["workers"]) >= 1
+        # random pure probes: levels 0 and 1 are pure, and factored
+        assert 0 < int(counters["factored"]) < int(counters["eigensolves_run"])
+        assert captured.err.rstrip().endswith(f"factored={counters['factored']}")
         assert outputs[0] == outputs[1]
-        assert b"eigensolves" not in outputs[0]
+        assert b"eigensolves" not in outputs[0] and b"factored" not in outputs[0]
 
     def test_eta_out_of_range_exits_2(self, bell_path):
         assert main(["simulate", "--circuit", bell_path, "--eta", "1.5"]) == 2
