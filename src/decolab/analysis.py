@@ -5,8 +5,8 @@ largest trace distance between any matching reduced states of at most ``n``
 qubits at level ``i`` of two runs.  It equals full enumeration of every
 qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
-evaluated.  Where every state of a level has a certified low-rank factor
-``rho ~ F F^dagger`` (``sqrt(dim) / 2 * ||rho - F F^dagger||_F <= 1e-13``,
+evaluated.  Where every state of a level has a certified pure factor
+``rho ~ f f^dagger`` (``sqrt(dim) / 2 * ||rho - f f^dagger||_F <= 1e-13``,
 so each subset distance moves by at most ``2e-13``), a subset's distance
 comes from a small ``R J R^dagger`` eigenproblem instead of the dense one;
 pure levels, such as the first two of a unitary circuit, take that path.
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -37,12 +36,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .channels import depolarize_all
-from .circuit import Circuit, _noisy_levels, run_noisy
+from .circuit import Circuit, run_noisy
 from .config import BLAS_THREADS, BLAS_THREADS_ENV, ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
     check_subset,
-    low_rank_factor,
     partial_trace,
     permute_matrix,
     random_pure_state,
@@ -244,25 +242,37 @@ def _batched_reduce(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np
 #: pair count, is what grows with the register (1 MiB a matrix at width 8)
 _DIFF_BYTES = 2 << 20
 
-#: certificate of the low-rank factors: each state's factor is within this
+#: certificate of the pure factors: each state's factor is within this
 #: (half trace norm) of it, so every subset distance moves by at most 2 * tol
 _FACTOR_TOL = 1e-13
 
 
-def _factors(states: Sequence[DensityMatrix], qubits: int) -> np.ndarray | None:
-    """Certified factors ``F F^dagger`` of every state, zero-padded to the
-    largest rank ``r``, as one ``(states, 2**qubits, r)`` stack; ``None`` once
-    a state has no certified factor with ``2 * r < 2**qubits``, the ranks
-    at which some subset shrinks."""
-    max_rank = (1 << qubits) // 2 - 1
+def _pure_factor(m: np.ndarray) -> np.ndarray | None:
+    """A vector ``f`` with ``sqrt(dim) / 2 * ||m - f f^dagger||_F <=
+    _FACTOR_TOL``, which bounds half the trace norm of the residual, or
+    ``None``.  ``f`` is ``m``'s column at its largest diagonal entry, scaled:
+    exactly the state vector, up to a phase, when ``m`` is pure."""
+    diag = m.diagonal().real
+    p = int(np.argmax(diag))
+    if not diag[p] > 0:  # no positive diagonal to divide by
+        return None
+    f = m[:, p] / math.sqrt(diag[p])
+    residual = float(np.linalg.norm(m - np.outer(f, f.conj())))
+    if not 0.5 * math.sqrt(m.shape[0]) * residual <= _FACTOR_TOL:
+        return None
+    return f
+
+
+def _factors(states: Sequence[DensityMatrix]) -> np.ndarray | None:
+    """Certified pure factors of every state as one ``(states, dim)`` stack;
+    ``None`` once a state has none."""
     factors = []
     for s in states:
-        f = low_rank_factor(s.mat, max_rank, _FACTOR_TOL)
+        f = _pure_factor(s.mat)
         if f is None:
             return None
         factors.append(f)
-    rank = max(f.shape[1] for f in factors)
-    return np.stack([np.pad(f, ((0, 0), (0, rank - f.shape[1]))) for f in factors])
+    return np.stack(factors)
 
 
 def _chunks(todo: np.ndarray, pair_bytes: int):
@@ -285,12 +295,12 @@ def _factored_distances(factors, qubits, keep, iu, ju, todo) -> np.ndarray:
     """The same from the factors: with ``X = [M_a M_b] = QR`` and ``J =
     diag(I, -I)``, ``rho_a - rho_b = X J X^dagger`` on ``keep`` has the
     nonzero eigenvalues of the small Hermitian ``R J R^dagger``.  ``M`` is a
-    factor with the kept qubits as rows, the traced ones and the rank as
-    columns, so that ``M M^dagger`` is the reduced state."""
-    n, _, rank = factors.shape
+    factor with the kept qubits as rows and the traced ones as columns, so
+    that ``M M^dagger`` is the reduced state."""
+    n = factors.shape[0]
     order = keep + tuple(q for q in range(qubits) if q not in keep)
-    rows = factors.reshape((n,) + (2,) * qubits + (rank,))
-    rows = rows.transpose([0, *(1 + q for q in order), 1 + qubits]).reshape(n, 1 << len(keep), -1)
+    rows = factors.reshape((n,) + (2,) * qubits)
+    rows = rows.transpose([0, *(1 + q for q in order)]).reshape(n, 1 << len(keep), -1)
     c = rows.shape[-1]
     out = []
     for pairs in _chunks(todo, 2 * rows[0].nbytes):
@@ -316,9 +326,9 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     when ``per_pair``, the best over all pairs otherwise.  Every skipped
     subset is thus provably no larger than one that was evaluated.
 
-    When every state has a certified factor of rank ``r`` (:func:`_factors`),
-    a subset of size ``s`` with ``w = 2**(qubits - s) * 2r < 2**s`` is solved
-    as a ``w x w`` eigenproblem instead of a ``2**s x 2**s`` one.
+    When every state has a certified pure factor (:func:`_factors`), a subset
+    of size ``s`` with ``w = 2**(qubits - s) * 2 < 2**s`` is solved as a
+    ``w x w`` eigenproblem instead of a ``2**s x 2**s`` one.
 
     Returns ``(best, eigensolves, factored)``: ``best[j, s]`` is pair ``j``'s
     largest evaluated distance over subsets of size ``s`` (column 0 is 0),
@@ -338,7 +348,7 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     if iu.size == 0:
         return best, 0, 0
     stack = np.stack([s.mat for s in states])
-    factors = _factors(states, qubits)
+    factors = _factors(states)
     # row ``mask`` (qubit ``q`` kept iff bit ``q`` is set) holds each pair's
     # distance once evaluated, its bound once skipped
     value = np.full((1 << qubits, iu.size), np.inf)
@@ -351,7 +361,7 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
         # a bit already in the subset maps it to itself, still +inf here
         bound = value[level[:, None] | bits].min(axis=1)
         value[level] = bound
-        low_rank = factors is not None and (factors.shape[-1] << (qubits - size + 1)) < (1 << size)
+        low_rank = factors is not None and (2 << (qubits - size)) < (1 << size)
         for i in np.argsort(-bound.max(axis=1), kind="stable"):
             record = best[:, size] if per_pair else best[:, size].max()
             todo = np.flatnonzero(bound[i] > record)
@@ -389,7 +399,7 @@ def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
 class MaxProfile(NamedTuple):
     profile: np.ndarray  # profile[n]: the largest distance over pairs and |A| <= n
     eigensolves: int  # (pair, subset) distances computed
-    factored: int  # those among them solved from low-rank factors
+    factored: int  # those among them solved from pure factors
 
 
 def max_profile(states: Sequence[DensityMatrix]) -> MaxProfile:
@@ -510,8 +520,10 @@ def _final_states(
     probes: Sequence[DensityMatrix],
     extra_noise_round: bool = False,
 ) -> list[DensityMatrix]:
-    """Each probe's last level, holding no earlier level past its successor."""
-    return [deque(_noisy_levels(circuit, eta, p, extra_noise_round), maxlen=1)[0] for p in probes]
+    return [
+        run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round).levels[-1]
+        for p in probes
+    ]
 
 
 def _largest(distances: Iterable[float]) -> float:
@@ -603,9 +615,8 @@ class DistanceReport:
     ``eigensolves_run`` counts the (pair, subset) distances computed, out of
     the ``eigensolves_full`` that full enumeration computes: pairs times
     ``2**width - 1`` non-empty subsets, summed over levels, and
-    ``eigensolves_factored`` those among the run solved from low-rank
-    factors.  ``workers`` is the number of threads the levels' enumerations
-    ran on.
+    ``eigensolves_factored`` those among the run solved from pure factors.
+    ``workers`` is the number of threads the levels' enumerations ran on.
     """
 
     k: int

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -270,29 +270,22 @@ def run_noisy(
     one after the last (a sensitivity knob, off by default).  Recorded level
     ``i`` is the state before the noise round feeding layer ``i``.
     """
-    return Trajectory(tuple(_noisy_levels(circuit, eta, rho0, extra_noise_round)), eta=eta)
-
-
-def _noisy_levels(
-    circuit: Circuit, eta: float, rho0: DensityMatrix, extra_noise_round: bool
-) -> Iterator[DensityMatrix]:
-    """:func:`run_noisy`'s levels one at a time, each dropped once the caller
-    lets go of it; the arguments are checked before the first level."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if rho0.qubits != circuit.in_width:
         raise CircuitError(
             f"circuit expects {circuit.in_width} input qubits, got {rho0.qubits}"
         )
-    yield rho0
+    levels = [rho0]
     cur = rho0
-    for i, layer in enumerate(circuit.layers, start=1):
-        if i > 1 or extra_noise_round:
+    for i, layer in enumerate(circuit.layers):
+        if i >= 1 or extra_noise_round:
             cur = depolarize_all(cur, eta)
         cur = apply_layer(layer, cur)
-        if extra_noise_round and i == circuit.depth:
-            cur = depolarize_all(cur, eta)
-        yield cur
+        levels.append(cur)
+    if extra_noise_round and circuit.depth > 0:
+        levels[-1] = depolarize_all(levels[-1], eta)
+    return Trajectory(tuple(levels), eta=eta)
 
 
 def random_circuit(k: int, width: int, depth: int, seed: int) -> Circuit:

@@ -31,7 +31,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "hermitian_part",
     "limit_blas_threads",
-    "low_rank_factor",
     "partial_trace",
     "random_density",
     "random_pure_state",
@@ -248,44 +247,6 @@ def hermitian_eigenvalues(
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     # an exactly Hermitian m is bitwise its own Hermitian part
     return np.linalg.eigvalsh(m if residual == 0.0 else hermitian_part(m))
-
-
-def low_rank_factor(m: np.ndarray, max_rank: int, tol: float) -> np.ndarray | None:
-    """A ``dim x r`` factor ``F`` of a PSD matrix, ``r <= max_rank``, by
-    pivoted Cholesky, or ``None``.
-
-    ``F`` is returned only with the certificate ``sqrt(dim) / 2 *
-    ||m - F F^dagger||_F <= tol``, which bounds half the trace norm of the
-    residual.  Without factoring, gives up when the purity bound ``rank >=
-    tr(m)**2 / tr(m**2)`` exceeds ``max_rank``; otherwise once ``max_rank``
-    columns leave a residual trace the certificate cannot accept.
-    """
-    m = _as_square(m)
-    dim = m.shape[0]
-    trace = float(np.trace(m).real)
-    # Hermitian m: tr(m**2) is the squared Frobenius norm; written so that a
-    # NaN gives up here and below, where ``>`` would let it through
-    if max_rank < 1 or not trace * trace <= max_rank * np.vdot(m, m).real * (1 + 1e-9):
-        return None
-    # a PSD residual's Frobenius norm is at most its trace
-    stop = 2.0 * tol / math.sqrt(dim)
-    f = np.zeros((dim, max_rank), dtype=np.complex128)
-    resid = m.diagonal().real.copy()
-    rank = 0
-    while resid.sum() > stop:
-        if rank == max_rank:
-            return None
-        p = int(np.argmax(resid))
-        col = m[:, p] - f[:, :rank] @ f[p, :rank].conj()
-        col /= math.sqrt(resid[p])
-        f[:, rank] = col
-        resid -= col.real**2 + col.imag**2
-        rank += 1
-    f = f[:, :rank].copy()
-    residual = m - f @ f.conj().T
-    if not 0.5 * math.sqrt(dim) * float(np.linalg.norm(residual)) <= tol:
-        return None
-    return f
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

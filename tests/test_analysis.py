@@ -35,6 +35,7 @@ from decolab.circuit import (
     Circuit,
     CircuitLayer,
     PlacedGate,
+    Trajectory,
     parse_circuit,
     random_circuit,
     run_noisy,
@@ -297,6 +298,37 @@ def _low_rank_state(width: int, rank: int, rng) -> DensityMatrix:
     return DensityMatrix(width, mixed / weights.sum())
 
 
+class TestPureFactor:
+    @pytest.mark.parametrize("qubits", [0, 1, 4, 6])
+    def test_pure_state_is_certified(self, qubits, rng):
+        m = random_pure_state(qubits, rng).mat
+        f = decolab.analysis._pure_factor(m)
+        assert f.shape == (2**qubits,)
+        assert 0.5 * np.sqrt(2**qubits) * np.linalg.norm(m - np.outer(f, f.conj())) <= 1e-13
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_higher_rank_gives_up(self, rank, rng):
+        assert decolab.analysis._pure_factor(_low_rank_state(4, rank, rng).mat) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 3)])
+    def test_non_finite_entry_gives_up(self, bad, where, rng):
+        m = np.array(random_pure_state(3, rng).mat)
+        m[where] = m[where[::-1]] = bad
+        with np.errstate(invalid="ignore"):
+            assert decolab.analysis._pure_factor(m) is None
+
+    def test_near_pure_state_fails_the_certificate(self, rng, monkeypatch):
+        m = random_pure_state(4, rng).mat
+        assert decolab.analysis._pure_factor(0.999999999 * m + 1e-9 * np.eye(16) / 16) is None
+        # a zero-diagonal 1e-9 drift leaves the pivot column's diagonal as it is
+        drift = np.zeros((16, 16), dtype=complex)
+        drift[0, 5] = drift[5, 0] = 1e-9
+        assert decolab.analysis._pure_factor(m + drift) is None
+        monkeypatch.setattr(decolab.analysis, "_FACTOR_TOL", 1e-8)
+        assert decolab.analysis._pure_factor(m + drift).shape == (16,)
+
+
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("width", range(7))
     @pytest.mark.parametrize("kind", ["mixed", "pure", "basis"])
@@ -344,8 +376,8 @@ class TestPrunedEnumeration:
         assert report.eigensolves_run == seen[0]
         assert report.eigensolves_full == math.comb(4, 2) * sum(2**w - 1 for w in circuit.widths)
         assert report.eigensolves_run <= report.eigensolves_full
-        # the pure width-3 input level is factored; the others are full rank or
-        # too narrow to shrink (width 2 needs rank-1 states, width 0 has no subsets)
+        # the pure input level and the freshly prepared width-2 level are
+        # factored; the others are mixed, and width 0 has no subsets
         trajectories = [run_noisy(circuit, 0.3, p) for p in probes]
         assert report.eigensolves_factored == sum(
             max_profile([t.levels[level] for t in trajectories]).factored
@@ -382,8 +414,8 @@ class TestPrunedEnumeration:
     def test_low_rank_levels_are_factored(self, ranks, width, rng):
         states = [_low_rank_state(width, ranks[j % len(ranks)], rng) for j in range(6)]
         _matches_full_enumeration(states)
-        # rank r shrinks the size-s subsets with 2**(width - s) * 2r < 2**s
-        assert (max_profile(states).factored > 0) == (2 * max(ranks) < 2**width)
+        # only pure levels are factored, and at width >= 2 the full register shrinks
+        assert (max_profile(states).factored > 0) == (ranks == (1,))
 
     @pytest.mark.parametrize("width", [3, 5])
     def test_near_pure_states_fall_back_to_dense(self, width, rng):
@@ -564,14 +596,12 @@ class TestWorthlessness:
     @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
     def test_nan_final_state_is_a_numerical_failure(self, verdict, qubits, monkeypatch):
         # settle checks only the trace, so NaN off-diagonals get through it
-        def poisoned(circuit, eta, rho0, extra_noise_round):
+        def poisoned(circuit, eta, rho0, extra_noise_round=False):
             mat = np.array(rho0.mat)
             mat[0, -1] = mat[-1, 0] = np.nan
-            yield rho0
-            yield DensityMatrix(rho0.qubits, mat)
+            return Trajectory((rho0, DensityMatrix(rho0.qubits, mat)), eta=eta)
 
-        # the verdicts run their probes through run_noisy's level generator
-        monkeypatch.setattr(decolab.analysis, "_noisy_levels", poisoned)
+        monkeypatch.setattr(decolab.analysis, "run_noisy", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
             verdict(wire_circuit(1), 0.5, probes=make_probes("basis", qubits))
 
@@ -581,28 +611,6 @@ class TestWorthlessness:
         monkeypatch.setattr(decolab.analysis, "trace_distance", lambda a, b: next(distances))
         with pytest.raises(ArithmeticError, match="non-finite"):
             verdict(wire_circuit(2), 0.5, probes=make_probes("random:3", 1))
-
-    @pytest.mark.parametrize("extra", [False, True])
-    def test_final_states_are_the_last_levels(self, extra):
-        circuit = random_circuit(2, 3, 4, seed=6)
-        probes = make_probes("random:3", 3, seed=7)
-        finals = decolab.analysis._final_states(circuit, 0.4, probes, extra_noise_round=extra)
-        for final, p in zip(finals, probes, strict=True):
-            last = run_noisy(circuit, 0.4, p, extra_noise_round=extra).levels[-1]
-            assert np.array_equal(final.mat, last.mat)
-
-    @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
-    def test_verdicts_keep_only_the_final_states(self, verdict):
-        # 11 levels of 1 MiB per probe; holding a whole trajectory peaked at 14 MiB
-        circuit = random_circuit(2, 8, 10, seed=1)
-        probes = make_probes("random:2", 8, seed=2)
-        tracemalloc.start()
-        try:
-            verdict(circuit, 0.5, probes=probes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
 
     @given(seed=st.integers(0, 10**5))
     @settings(max_examples=10)

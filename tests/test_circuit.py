@@ -349,7 +349,6 @@ class TestParserFuzz:
                 text = "\n".join(lines)
         _parse_or_reject(text)
 
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -466,20 +465,6 @@ class TestRunNoisy:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             run_noisy(wire_circuit(1), 1.5, DensityMatrix.basis_state(1, 0))
-
-    @pytest.mark.parametrize("extra", [False, True])
-    def test_levels_equal_the_former_level_loop(self, rng, extra):
-        circ = random_mixed_circuit(5, 3, depth=4)
-        rho = random_density(3, rng)
-        want = [rho]
-        for i, layer in enumerate(circ.layers):
-            cur = depolarize_all(want[-1], 0.3) if i >= 1 or extra else want[-1]
-            want.append(apply_layer(layer, cur))
-        if extra:
-            want[-1] = depolarize_all(want[-1], 0.3)
-        got = run_noisy(circ, 0.3, rho, extra_noise_round=extra).levels
-        assert len(got) == len(want)
-        assert all(np.array_equal(a.mat, b.mat) for a, b in zip(got, want))
 
 
 class TestLayerApplication:

@@ -18,7 +18,6 @@ from decolab.linalg import (
     hermitian_eigenvalues,
     hermitian_part,
     limit_blas_threads,
-    low_rank_factor,
     partial_trace,
     permute_matrix,
     random_density,
@@ -179,49 +178,6 @@ class TestHermitianEigenvalues:
         # m^H - m and its real moduli; the former check held m^H, m - m^H
         # and |m - m^H|, 2.5 matrices
         assert peak < 2 * h.nbytes
-
-
-def _rank_r_state(qubits: int, rank: int, rng) -> np.ndarray:
-    v = rng.standard_normal((2**qubits, rank)) + 1j * rng.standard_normal((2**qubits, rank))
-    m = (v * rng.uniform(0.2, 1.0, rank)) @ v.conj().T
-    return m / np.trace(m).real
-
-
-class TestLowRankFactor:
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    @pytest.mark.parametrize("qubits", [2, 4, 6])
-    def test_exact_rank_and_certificate(self, qubits, rank, rng):
-        m = _rank_r_state(qubits, rank, rng)
-        f = low_rank_factor(m, 2**qubits, 1e-13)
-        assert f.shape == (2**qubits, rank)
-        assert 0.5 * np.sqrt(2**qubits) * np.linalg.norm(m - f @ f.conj().T) <= 1e-13
-
-    def test_purity_bound_gives_up_without_factoring(self, rng, monkeypatch):
-        m = random_density(4, rng).mat  # rank 16, 1 / purity well above 7
-        monkeypatch.setattr(np, "argmax", None)  # the pivot search must not run
-        assert low_rank_factor(m, 7, 1e-13) is None
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_gives_up(self, bad, rng):
-        m = _rank_r_state(3, 1, rng)
-        m[0, 3] = m[3, 0] = bad
-        with np.errstate(invalid="ignore"):
-            assert low_rank_factor(m, 3, 1e-13) is None
-
-    def test_rank_beyond_the_cap_gives_up(self, rng):
-        assert low_rank_factor(_rank_r_state(4, 3, rng), 2, 1e-13) is None
-        assert low_rank_factor(_rank_r_state(4, 1, rng), 0, 1e-13) is None
-
-    def test_near_pure_state_fails_the_certificate(self, rng):
-        m = _rank_r_state(4, 1, rng)
-        # depolarized by 1e-9: PSD, and its residual trace never drops below tol
-        assert low_rank_factor(0.999999999 * m + 1e-9 * np.eye(16) / 16, 7, 1e-13) is None
-        # a zero-diagonal 1e-9 drift: the residual trace vanishes at rank 1,
-        # only the Frobenius certificate sees it
-        drift = np.zeros((16, 16), dtype=complex)
-        drift[0, 5] = drift[5, 0] = 1e-9
-        assert low_rank_factor(m + drift, 7, 1e-13) is None
-        assert low_rank_factor(m + drift, 7, 1e-8).shape == (16, 1)
 
 
 class TestTraceDistance:
