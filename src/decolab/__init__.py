@@ -29,7 +29,6 @@ from .channels import (
     QuantumChannel,
     channel_apply,
     channel_from_unitary,
-    channel_tensor,
     channel_validate,
     depolarize_all,
     depolarize_qubit,
@@ -85,7 +84,6 @@ __all__ = [
     "analytic_bound",
     "channel_apply",
     "channel_from_unitary",
-    "channel_tensor",
     "channel_validate",
     "check_noise_action",
     "depolarize_all",

@@ -5,7 +5,9 @@ largest trace distance between any matching reduced states of at most ``n``
 qubits at level ``i`` of two runs.  It equals full enumeration of every
 qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
-evaluated.  Where every state of a level has a certified pure factor
+evaluated, or, for the maximum over pairs (:func:`max_profile`), where
+``sqrt(d) / 2 * ||rho_a - rho_b||_F`` proves a pair no larger than the
+record.  Where every state of a level has a certified pure factor
 ``rho ~ f f^dagger`` (``sqrt(dim) / 2 * ||rho - f f^dagger||_F <= 1e-13``,
 so each subset distance moves by at most ``2e-13``), a subset's distance
 comes from a small ``R J R^dagger`` eigenproblem instead of the dense one;
@@ -280,15 +282,48 @@ def _chunks(todo: np.ndarray, pair_bytes: int):
     return (todo[start : start + step] for start in range(0, todo.size, step))
 
 
-def _dense_distances(stack, qubits, keep, iu, ju, todo) -> np.ndarray:
-    """Distances of the pairs ``todo`` on ``keep``: reduce, subtract, eigensolve."""
-    red = _batched_reduce(stack, qubits, keep)
+def _dense_distances(red, iu, ju, todo) -> np.ndarray:
+    """Distances of the pairs ``todo`` of the reduced stack ``red``: subtract, eigensolve."""
     out = []
     for pairs in _chunks(todo, red[0].nbytes):
         diff = np.take(red, iu[pairs], axis=0)
         diff -= np.take(red, ju[pairs], axis=0)
         out.append(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1))
     return np.concatenate(out)
+
+
+def _frobenius_bounds(red, iu, ju) -> np.ndarray:
+    """Upper bounds ``sqrt(d) / 2 * ||red_i - red_j||_F`` on the distances of
+    the pairs ``(iu, ju)`` (Cauchy-Schwarz on the ``d`` eigenvalues), from
+    the real Gram matrix of the stack rather than from the differences.  The
+    Gram entries are inner products of length ``2 d**2``, each off by at most
+    about ``2 d**2 u`` times the two norms; that much is added back before the
+    square root, so cancellation between near-equal states can only raise a
+    bound."""
+    d = red.shape[-1]
+    flat = np.ascontiguousarray(red).reshape(red.shape[0], -1).view(np.float64)
+    gram = flat @ flat.T  # Re <red_a, red_b>
+    both = gram.diagonal()[iu] + gram.diagonal()[ju]
+    squared = both - 2.0 * gram[iu, ju] + (2 * d * d + 4) * np.finfo(float).eps * both
+    return 0.5 * math.sqrt(d) * np.sqrt(squared)
+
+
+def _max_only_distances(red, iu, ju, todo, ub, record) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensolve the pair of ``todo`` with the largest bound ``ub`` when it
+    exceeds ``record``, then only the pairs whose bound exceeds the record
+    that raised.  Returns each pair's distance where solved and its bound
+    elsewhere, and the mask of those solved."""
+    value = ub.copy()
+    solved = np.zeros(todo.size, dtype=bool)
+    first = int(np.argmax(ub))
+    if ub[first] > record:
+        value[first] = _dense_distances(red, iu, ju, todo[first : first + 1])[0]
+        solved[first] = True
+        rest = np.flatnonzero(~solved & (ub > max(record, value[first])))
+        if rest.size:
+            value[rest] = _dense_distances(red, iu, ju, todo[rest])
+            solved[rest] = True
+    return value, solved
 
 
 def _factored_distances(factors, qubits, keep, iu, ju, todo) -> np.ndarray:
@@ -312,7 +347,9 @@ def _factored_distances(factors, qubits, keep, iu, ju, todo) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarray, int, int]:
+def _top_down(
+    states: Sequence[DensityMatrix], per_pair: bool
+) -> tuple[np.ndarray, int, int, int]:
     """Largest subset distances, by enumeration pruned with the data-processing
     inequality.
 
@@ -326,18 +363,31 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     when ``per_pair``, the best over all pairs otherwise.  Every skipped
     subset is thus provably no larger than one that was evaluated.
 
+    Without ``per_pair``, on the dense path, each remaining pair is bounded
+    further by ``sqrt(d) / 2 * ||Delta||_F >= ||Delta||_1 / 2``
+    (Cauchy-Schwarz on the ``d`` eigenvalues), an O(d**2) Gram-matrix step
+    ahead of the O(d**3) eigensolve: the pair with the largest bound is
+    solved first, then only the pairs whose bound exceeds the record, and a
+    skipped pair keeps its bound as its value.  This also prunes the full
+    register, whose data-processing bound is ``+inf``.  The per-pair form
+    does without it: there each pair's own record is the one to beat, and
+    the bound cut its eigensolves by 17% (66,964 -> 55,684) with no gain in
+    time.
+
     When every state has a certified pure factor (:func:`_factors`), a subset
     of size ``s`` with ``w = 2**(qubits - s) * 2 < 2**s`` is solved as a
     ``w x w`` eigenproblem instead of a ``2**s x 2**s`` one.
 
-    Returns ``(best, eigensolves, factored)``: ``best[j, s]`` is pair ``j``'s
-    largest evaluated distance over subsets of size ``s`` (column 0 is 0),
-    exact per pair when ``per_pair`` and exact only in its maximum over pairs
-    otherwise; ``eigensolves`` counts the (pair, subset) distances computed
-    and ``factored`` those among them solved from the factors.
+    Returns ``(best, eigensolves, factored, norm_pruned)``: ``best[j, s]`` is
+    pair ``j``'s largest evaluated distance over subsets of size ``s``
+    (column 0 is 0), exact per pair when ``per_pair`` and exact only in its
+    maximum over pairs otherwise; ``eigensolves`` counts the (pair, subset)
+    distances computed, ``factored`` those among them solved from the
+    factors, and ``norm_pruned`` the (pair, subset)s the data-processing
+    bound left to solve that the Frobenius bound skipped.
     """
     if not states:
-        return np.zeros((0, 1)), 0, 0
+        return np.zeros((0, 1)), 0, 0, 0
     qubits = states[0].qubits
     for s in states:
         if s.qubits != qubits:
@@ -346,7 +396,7 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     iu, ju = np.triu_indices(len(states), 1)
     best = np.zeros((iu.size, qubits + 1))
     if iu.size == 0:
-        return best, 0, 0
+        return best, 0, 0, 0
     stack = np.stack([s.mat for s in states])
     factors = _factors(states)
     # row ``mask`` (qubit ``q`` kept iff bit ``q`` is set) holds each pair's
@@ -355,7 +405,7 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
     masks = np.arange(1 << qubits)
     sizes = np.array([int(m).bit_count() for m in masks])
     bits = 1 << np.arange(qubits)
-    eigensolves = factored = 0
+    eigensolves = factored = norm_pruned = 0
     for size in range(qubits, 0, -1):
         level = masks[sizes == size]
         # a bit already in the subset maps it to itself, still +inf here
@@ -368,18 +418,29 @@ def _top_down(states: Sequence[DensityMatrix], per_pair: bool) -> tuple[np.ndarr
             if not todo.size:
                 continue
             keep = tuple(q for q in range(qubits) if level[i] >> q & 1)
+            solved = np.ones(todo.size, dtype=bool)
             if low_rank:
                 dist = _factored_distances(factors, qubits, keep, iu, ju, todo)
                 factored += todo.size
+            elif per_pair:
+                dist = _dense_distances(_batched_reduce(stack, qubits, keep), iu, ju, todo)
             else:
-                dist = _dense_distances(stack, qubits, keep, iu, ju, todo)
+                red = _batched_reduce(stack, qubits, keep)
+                frobenius = _frobenius_bounds(red, iu[todo], ju[todo])
+                # a NaN bound would prune its pair, and every subset below it
+                if not np.isfinite(frobenius).all():
+                    raise ArithmeticError(f"non-finite trace distance bound on qubits {keep}")
+                ub = np.minimum(bound[i, todo], frobenius)
+                dist, solved = _max_only_distances(red, iu, ju, todo, ub, record)
+                norm_pruned += todo.size - int(solved.sum())
             # NaN compares False and would prune every subset below it
-            if not np.isfinite(dist).all():
+            if not np.isfinite(dist[solved]).all():
                 raise ArithmeticError(f"non-finite trace distance on qubits {keep}")
             value[level[i], todo] = dist
-            best[todo, size] = np.maximum(best[todo, size], dist)
+            todo = todo[solved]
+            best[todo, size] = np.maximum(best[todo, size], dist[solved])
             eigensolves += todo.size
-    return best, eigensolves, factored
+    return best, eigensolves, factored, norm_pruned
 
 
 def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
@@ -392,7 +453,7 @@ def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
     rounding: subsets are pruned only where the data-processing inequality
     proves them no larger than one evaluated for the same pair.
     """
-    best, _, _ = _top_down(states, per_pair=True)
+    best = _top_down(states, per_pair=True)[0]
     return np.maximum.accumulate(best, axis=1)
 
 
@@ -400,13 +461,15 @@ class MaxProfile(NamedTuple):
     profile: np.ndarray  # profile[n]: the largest distance over pairs and |A| <= n
     eigensolves: int  # (pair, subset) distances computed
     factored: int  # those among them solved from pure factors
+    norm_pruned: int  # (pair, subset) distances the Frobenius bound spared
 
 
 def max_profile(states: Sequence[DensityMatrix]) -> MaxProfile:
     """``pairwise_profiles(states).max(axis=0)`` (zeros without pairs), pruning
     every pair that cannot raise the maximum over all pairs."""
-    best, eigensolves, factored = _top_down(states, per_pair=False)
-    return MaxProfile(np.maximum.accumulate(best.max(axis=0, initial=0.0)), eigensolves, factored)
+    best, eigensolves, factored, norm_pruned = _top_down(states, per_pair=False)
+    profile = np.maximum.accumulate(best.max(axis=0, initial=0.0))
+    return MaxProfile(profile, eigensolves, factored, norm_pruned)
 
 
 def distance_profile(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
@@ -614,8 +677,10 @@ class DistanceReport:
     bound column uses the noise rounds actually absorbed by that level.
     ``eigensolves_run`` counts the (pair, subset) distances computed, out of
     the ``eigensolves_full`` that full enumeration computes: pairs times
-    ``2**width - 1`` non-empty subsets, summed over levels, and
-    ``eigensolves_factored`` those among the run solved from pure factors.
+    ``2**width - 1`` non-empty subsets, summed over levels,
+    ``eigensolves_factored`` those among the run solved from pure factors,
+    and ``eigensolves_norm_pruned`` those the data-processing inequality left
+    to run that the Frobenius bound skipped.
     ``workers`` is the number of threads the levels' enumerations ran on.
     """
 
@@ -628,6 +693,7 @@ class DistanceReport:
     eigensolves_run: int
     eigensolves_full: int
     eigensolves_factored: int
+    eigensolves_norm_pruned: int
     workers: int
 
     def min_slack(self) -> float:
@@ -660,11 +726,12 @@ def distance_report(
         pool.shutdown(cancel_futures=True)
     rows: list[ReportRow] = []
     final_max = 0.0
-    run = full = factored = 0
-    for level, (profile, eigensolves, level_factored) in enumerate(profiles):
+    run = full = factored = norm_pruned = 0
+    for level, (profile, eigensolves, level_factored, level_norm_pruned) in enumerate(profiles):
         width = len(profile) - 1
         run += eigensolves
         factored += level_factored
+        norm_pruned += level_norm_pruned
         full += math.comb(len(probes), 2) * (2**width - 1)
         rounds = noise_rounds_at_level(level, depth, extra_noise_round)
         for n in range(width + 1):
@@ -692,5 +759,6 @@ def distance_report(
         eigensolves_run=run,
         eigensolves_full=full,
         eigensolves_factored=factored,
+        eigensolves_norm_pruned=norm_pruned,
         workers=workers,
     )

@@ -8,39 +8,28 @@ trace-outs are ordinary channels here, so registers may grow and shrink.
 Depolarization itself is applied in its affine form
 ``(1-eta) rho + eta tr(rho) I/dim`` one qubit at a time, which preserves the
 trace exactly and never inflates a Kraus set: a noise round updates one
-copy of the state in place; the four-operator Pauli form exists only as a
-cross-check (:func:`depolarizing_kraus_channel`).
+copy of the state in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOLERANCES,
-    HARD_MAX_QUBITS,
-    KRAUS_TERM_CAP,
-    ResourceLimitError,
-    Tolerances,
-)
-from .linalg import DensityMatrix, ValidationReport, settle, tensor
+from .config import DEFAULT_TOLERANCES, Tolerances
+from .linalg import DensityMatrix, ValidationReport, settle
 
 __all__ = [
     "GATES",
     "QuantumChannel",
     "channel_apply",
     "channel_from_unitary",
-    "channel_tensor",
     "channel_validate",
     "depolarize_all",
     "depolarize_qubit",
-    "depolarizing_kraus_channel",
-    "identity_channel",
     "prep_channel",
     "random_channel",
 ]
@@ -105,12 +94,6 @@ def channel_from_unitary(u: np.ndarray, label: str = "") -> QuantumChannel:
     return QuantumChannel(n, n, (u,), label=label)
 
 
-def identity_channel(qubits: int) -> QuantumChannel:
-    return QuantumChannel(
-        qubits, qubits, (np.eye(2**qubits, dtype=np.complex128),), label="I" * max(qubits, 1)
-    )
-
-
 _KET0 = np.array([[1.0], [0.0]], dtype=np.complex128)
 _KET1 = np.array([[0.0], [1.0]], dtype=np.complex128)
 _KETP = np.array([[1.0], [1.0]], dtype=np.complex128) / math.sqrt(2)
@@ -156,38 +139,6 @@ def channel_validate(
     return ValidationReport(())
 
 
-def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumChannel:
-    """Combine channels acting on disjoint registers into one channel.
-
-    The Kraus set is every tensor combination of the parts' operators, so the
-    term count multiplies; assemblies beyond the configured cap are refused
-    (apply the parts one at a time instead, the semantics are identical).
-    """
-    if not parts:
-        raise ValueError("channel_tensor needs at least one part")
-    terms = 1
-    for p in parts:
-        terms *= len(p.kraus)
-    if terms > KRAUS_TERM_CAP:
-        raise ResourceLimitError(
-            f"assembled channel would need {terms} Kraus terms (cap {KRAUS_TERM_CAP})"
-        )
-    in_qubits = sum(p.in_qubits for p in parts)
-    out_qubits = sum(p.out_qubits for p in parts)
-    if max(in_qubits, out_qubits) > HARD_MAX_QUBITS:
-        raise ResourceLimitError(
-            f"assembled channel spans {max(in_qubits, out_qubits)} qubits "
-            f"(cap {HARD_MAX_QUBITS})"
-        )
-    kraus = []
-    for combo in itertools.product(*(p.kraus for p in parts)):
-        op = combo[0]
-        for k in combo[1:]:
-            op = tensor(op, k)
-        kraus.append(op)
-    return QuantumChannel(in_qubits, out_qubits, tuple(kraus), label=label)
-
-
 def _depolarized(rho: DensityMatrix, qubits: Sequence[int], eta: float) -> DensityMatrix:
     """One copy of ``rho`` with ``qubits`` depolarized in place in turn: on the
     view ``(2**q, 2, 2**(n-q-1))`` of rows and columns, every entry scales by
@@ -224,28 +175,6 @@ def depolarize_all(rho: DensityMatrix, eta: float) -> DensityMatrix:
     commute, so the sweep order is irrelevant (and property-tested).
     """
     return _depolarized(rho, range(rho.qubits), eta)
-
-
-def depolarizing_kraus_channel(eta: float) -> QuantumChannel:
-    """Single-qubit depolarizer in four-operator Pauli form.
-
-    Algebraically identical to :func:`depolarize_qubit`; kept as an
-    independent route for cross-checking, not used by the simulator.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    i, x, y, z = (_PAULI[name] for name in ("I", "X", "Y", "Z"))
-    return QuantumChannel(
-        1,
-        1,
-        (
-            math.sqrt(1.0 - 3.0 * eta / 4.0) * i,
-            math.sqrt(eta / 4.0) * x,
-            math.sqrt(eta / 4.0) * y,
-            math.sqrt(eta / 4.0) * z,
-        ),
-        label=f"DEPOL({eta})",
-    )
 
 
 def random_channel(

@@ -54,7 +54,6 @@ __all__ = [
     "PlacedGate",
     "Trajectory",
     "apply_layer",
-    "export_trajectory",
     "format_complex",
     "parse_circuit",
     "parse_circuit_file",
@@ -524,22 +523,3 @@ def serialize_circuit(circuit: Circuit) -> str:
                     "gate or plain unitary)"
                 )
     return "\n".join(lines) + "\n"
-
-
-def export_trajectory(
-    traj: Trajectory, csv_path: str, states_path: str | None = None
-) -> None:
-    """Write the per-level summary CSV and, optionally, the full states.
-
-    The CSV has columns ``level,n_i``; the side file holds one line per level
-    with the state's row-major entries in full-precision ``a+bi`` form.
-    """
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("level,n_i\n")
-        for i, level in enumerate(traj.levels):
-            fh.write(f"{i},{level.qubits}\n")
-    if states_path is not None:
-        with open(states_path, "w", encoding="utf-8", newline="\n") as fh:
-            for level in traj.levels:
-                fh.write(" ".join(format_complex(z) for z in level.mat.flat))
-                fh.write("\n")

@@ -167,7 +167,7 @@ def cmd_simulate(config: RunConfig) -> int:
     print(
         f"simulate: eigensolves_run={report.eigensolves_run} "
         f"eigensolves_full={report.eigensolves_full} workers={report.workers} "
-        f"factored={report.eigensolves_factored}",
+        f"norm_pruned={report.eigensolves_norm_pruned} factored={report.eigensolves_factored}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -17,9 +17,6 @@ HARD_MAX_QUBITS = 12
 #: subset enumeration may visit every one of 2**10 reduced states per level
 ENUMERATION_CAP = 10
 
-#: assembled layer channels refuse to materialize more Kraus terms than this
-KRAUS_TERM_CAP = 256
-
 #: |trace - 1| beyond this after a channel application is treated as a bug, not drift
 TRACE_RENORM_LIMIT = 1e-6
 

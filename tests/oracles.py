@@ -1,16 +1,24 @@
 """Reference implementations that only the tests use: explicit matrices the
-library's strided kernels are checked against, the full subset enumeration
-its pruned one is checked against, and the serial level loop its threaded
-report is checked against."""
+library's strided kernels are checked against, assembled channels and the
+Pauli-form depolarizer its kernels and affine noise round are checked
+against, the full subset enumeration its pruned one is checked against, the
+serial level loop its threaded report is checked against, and a trajectory
+writer."""
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
 
 from decolab.analysis import MaxProfile, _batched_reduce, max_profile
-from decolab.circuit import Circuit, run_noisy
+from decolab.channels import GATES, QuantumChannel
+from decolab.circuit import Circuit, Trajectory, format_complex, run_noisy
+from decolab.config import HARD_MAX_QUBITS, ResourceLimitError
 from decolab.linalg import DensityMatrix, permute_matrix, tensor
+
+#: assembled channels refuse to materialize more Kraus terms than this
+KRAUS_TERM_CAP = 256
 
 
 def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -76,3 +84,62 @@ def serial_level_profiles(
     return [
         max_profile([t.levels[level] for t in trajectories]) for level in range(circuit.depth + 1)
     ]
+
+
+def identity_channel(qubits: int) -> QuantumChannel:
+    return QuantumChannel(
+        qubits, qubits, (np.eye(2**qubits, dtype=np.complex128),), label="I" * max(qubits, 1)
+    )
+
+
+def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumChannel:
+    """Combine channels acting on disjoint registers into one channel.
+
+    The Kraus set is every tensor combination of the parts' operators, so the
+    term count multiplies; assemblies beyond :data:`KRAUS_TERM_CAP` terms or
+    ``HARD_MAX_QUBITS`` qubits are refused.
+    """
+    if not parts:
+        raise ValueError("channel_tensor needs at least one part")
+    terms = math.prod(len(p.kraus) for p in parts)
+    if terms > KRAUS_TERM_CAP:
+        raise ResourceLimitError(
+            f"assembled channel would need {terms} Kraus terms (cap {KRAUS_TERM_CAP})"
+        )
+    in_qubits = sum(p.in_qubits for p in parts)
+    out_qubits = sum(p.out_qubits for p in parts)
+    if max(in_qubits, out_qubits) > HARD_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"assembled channel spans {max(in_qubits, out_qubits)} qubits "
+            f"(cap {HARD_MAX_QUBITS})"
+        )
+    kraus = [tensor_all(combo) for combo in itertools.product(*(p.kraus for p in parts))]
+    return QuantumChannel(in_qubits, out_qubits, tuple(kraus), label=label)
+
+
+def depolarizing_kraus_channel(eta: float) -> QuantumChannel:
+    """Single-qubit depolarizer in four-operator Pauli form, the independent
+    route to the library's affine ``depolarize_qubit``."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    i, x, y, z = (GATES[name].kraus[0] for name in "IXYZ")
+    weak = math.sqrt(eta / 4.0)
+    return QuantumChannel(
+        1, 1, (math.sqrt(1.0 - 3.0 * eta / 4.0) * i, weak * x, weak * y, weak * z),
+        label=f"DEPOL({eta})",
+    )
+
+
+def export_trajectory(traj: Trajectory, csv_path: str, states_path: str | None = None) -> None:
+    """Write the per-level summary CSV (columns ``level,n_i``) and, optionally,
+    one line per level with the state's row-major entries in full-precision
+    ``a+bi`` form."""
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("level,n_i\n")
+        for i, level in enumerate(traj.levels):
+            fh.write(f"{i},{level.qubits}\n")
+    if states_path is not None:
+        with open(states_path, "w", encoding="utf-8", newline="\n") as fh:
+            for level in traj.levels:
+                fh.write(" ".join(format_complex(z) for z in level.mat.flat))
+                fh.write("\n")

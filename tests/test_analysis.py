@@ -259,6 +259,9 @@ def _matches_full_enumeration(states) -> int:
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
     top = max_profile(states)
     assert np.max(np.abs(top.profile - want.max(axis=0, initial=0.0))) <= 1e-12
+    # the max-only form records evaluated distances only, never a bound
+    best = decolab.analysis._top_down(states, per_pair=False)[0]
+    assert (best <= want + 1e-12).all()
     pairs = math.comb(len(states), 2)
     assert 0 <= top.eigensolves <= pairs * (2 ** states[0].qubits - 1)
     return top.eigensolves
@@ -329,17 +332,29 @@ class TestPureFactor:
         assert decolab.analysis._pure_factor(m + drift).shape == (16,)
 
 
+def _depolarized(states, eta: float) -> list[DensityMatrix]:
+    return [
+        DensityMatrix(s.qubits, (1 - eta) * s.mat + eta * np.eye(2**s.qubits) / 2**s.qubits)
+        for s in states
+    ]
+
+
 class TestPrunedEnumeration:
-    @pytest.mark.parametrize("width", range(7))
-    @pytest.mark.parametrize("kind", ["mixed", "pure", "basis"])
+    @pytest.mark.parametrize("width", range(8))
+    @pytest.mark.parametrize(
+        "kind", ["mixed", "pure", "basis", "depolarized-pure", "depolarized-basis"]
+    )
     def test_matches_full_enumeration(self, kind, width, rng):
         if kind == "mixed":
             states = [random_density(width, rng) for _ in range(5)]
-        elif kind == "pure":
+        elif kind.endswith("pure"):
             states = [random_pure_state(width, rng) for _ in range(5)]
         else:
+            # on one qubit, Cauchy-Schwarz is an equality for basis states
             picked = rng.choice(2**width, min(2**width, 8), replace=False)
             states = [DensityMatrix.basis_state(width, int(b)) for b in picked]
+        if kind.startswith("depolarized"):
+            states = _depolarized(states, 0.3)
         _matches_full_enumeration(states)
 
     @pytest.mark.parametrize("width", [2, 3, 4])
@@ -465,6 +480,50 @@ class TestPrunedEnumeration:
             tracemalloc.stop()
         assert peak < 10e6
         assert np.max(np.abs(top.profile - full_enumeration_profiles(states).max(axis=0))) <= 1e-12
+
+
+class TestNormPruning:
+    """The max-only form skips a pair whose ``sqrt(d) / 2 * ||Delta||_F``
+    cannot beat the record."""
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_near_equal_mixed_states(self, gap, width, rng):
+        # the Gram form's cancellation case: norms of 1e-10 out of O(1) entries
+        base = random_density(width, rng).mat
+        states = [
+            DensityMatrix(width, (1 - gap) * base + gap * random_density(width, rng).mat)
+            for _ in range(5)
+        ]
+        _matches_full_enumeration(states)
+        assert 0 < max_profile(states).profile[-1] < gap
+
+    def test_spares_eigensolves_on_the_max_only_form_only(self, monkeypatch):
+        circuit = random_circuit(2, 6, 4, seed=11)
+        trajectories = [run_noisy(circuit, 0.6, p) for p in make_probes("random:8", 6, seed=12)]
+        states = [t.levels[3] for t in trajectories]
+        seen = _count_eigensolves(monkeypatch)
+        pairwise_profiles(states)
+        # the per-pair form prunes by the data-processing inequality alone
+        assert seen[0] == 876
+        seen[0] = 0
+        top = max_profile(states)
+        # 234 with the data-processing inequality alone
+        assert top.eigensolves == seen[0] < 234
+        assert top.norm_pruned > 0
+        _matches_full_enumeration(states)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_entry_is_never_pruned_into_a_distance(self, bad, rng):
+        # |000><111| reaches no reduced state: only the full register's
+        # Frobenius bound sees it, ahead of any eigensolve
+        mats = [np.array(random_density(3, rng).mat) for _ in range(3)]
+        mats[1][0, 7] = mats[1][7, 0] = bad
+        states = [DensityMatrix._adopt(3, m) for m in mats]
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ArithmeticError, match="non-finite trace distance"
+        ):
+            max_profile(states)
 
 
 def _use_cpus(monkeypatch, cpus: int) -> None:

@@ -8,12 +8,9 @@ from decolab.channels import (
     QuantumChannel,
     channel_apply,
     channel_from_unitary,
-    channel_tensor,
     channel_validate,
     depolarize_all,
     depolarize_qubit,
-    depolarizing_kraus_channel,
-    identity_channel,
     prep_channel,
     random_channel,
 )
@@ -25,6 +22,8 @@ from decolab.linalg import (
     trace_distance,
     validate_density,
 )
+
+from oracles import channel_tensor, depolarizing_kraus_channel, identity_channel
 
 LIBRARY_NAMES = [
     "I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP", "TOFFOLI",

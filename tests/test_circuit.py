@@ -9,11 +9,9 @@ from decolab.channels import (
     GATES,
     channel_apply,
     channel_from_unitary,
-    channel_tensor,
     channel_validate,
     depolarize_all,
     depolarize_qubit,
-    depolarizing_kraus_channel,
     random_channel,
 )
 from decolab.circuit import (
@@ -23,7 +21,6 @@ from decolab.circuit import (
     CircuitParseError,
     PlacedGate,
     apply_layer,
-    export_trajectory,
     format_complex,
     parse_circuit,
     random_circuit,
@@ -39,7 +36,12 @@ from decolab.linalg import (
     settle,
     validate_density,
 )
-from oracles import permutation_unitary
+from oracles import (
+    channel_tensor,
+    depolarizing_kraus_channel,
+    export_trajectory,
+    permutation_unitary,
+)
 
 BELL_TEXT = """
 # prepares a maximally entangled pair from |00>

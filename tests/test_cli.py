@@ -207,7 +207,7 @@ class TestSimulate:
                     "--probes", "random:5", "--seed", "2", "--output", str(tmp_path / name)]
             assert main(args) == 0
             captured = capsys.readouterr()
-            assert "eigensolves" not in captured.out and "factored" not in captured.out
+            assert not any(c in captured.out for c in ("eigensolves", "norm_pruned", "factored"))
             outputs.append((tmp_path / name).read_bytes())
         counters = dict(
             item.split("=") for item in captured.err.split("simulate: ")[1].split()
@@ -216,6 +216,8 @@ class TestSimulate:
         assert int(counters["eigensolves_full"]) == full
         assert 0 < int(counters["eigensolves_run"]) <= full
         assert int(counters["workers"]) >= 1
+        # depolarized levels: the Frobenius bound skips some of what is left
+        assert int(counters["norm_pruned"]) > 0
         # random pure probes: levels 0 and 1 are pure, and factored
         assert 0 < int(counters["factored"]) < int(counters["eigensolves_run"])
         assert captured.err.rstrip().endswith(f"factored={counters['factored']}")
