@@ -637,9 +637,10 @@ def worthless(
     if probes is None:
         probes = default_probes(circuit.in_width, seed)
     finals = _final_states(circuit, eta, probes)
-    worst = _largest(
-        trace_distance(state, DensityMatrix.maximally_mixed(state.qubits)) for state in finals
-    )
+    worst = 0.0
+    if finals:  # one maximally mixed state serves every output: they share a width
+        mixed = DensityMatrix.maximally_mixed(finals[0].qubits)
+        worst = _largest(trace_distance(state, mixed) for state in finals)
     return worst <= eps, worst
 
 

@@ -125,7 +125,9 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, qubits: int) -> "DensityMatrix":
         dim = 2**qubits
-        return cls(qubits, np.eye(dim, dtype=np.complex128) / dim)
+        mat = np.eye(dim, dtype=np.complex128)
+        mat /= dim
+        return cls._adopt(qubits, mat)
 
     @classmethod
     def scalar(cls) -> "DensityMatrix":
@@ -231,8 +233,15 @@ def hermitian_eigenvalues(
 
     Rejects inputs whose anti-Hermitian part exceeds ``tol.herm``; the solve
     itself runs on the symmetrized matrix.  Raises ``ArithmeticError`` on a
-    non-finite entry (its residual is NaN) and ``numpy.linalg.LinAlgError``
-    if the solver fails to converge.
+    non-finite entry (its residual is not finite) and
+    ``numpy.linalg.LinAlgError`` if the solver fails to converge.
+
+    A ``2**n``-dimensional matrix is split over its classical qubits, those
+    in which both off-diagonal blocks are exactly zero (a measured or a
+    freshly prepared qubit): it is then permutation-similar to one diagonal
+    block per classical bit string, and the blocks are solved instead of the
+    whole matrix.  The split is exact; a matrix with no classical qubit goes
+    to ``eigvalsh`` whole.
     """
     m = _as_square(m)
     residual = 0.0
@@ -241,16 +250,72 @@ def hermitian_eigenvalues(
         anti = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))
         anti -= m
         residual = float(np.abs(anti).max())
-    if math.isnan(residual):  # NaN > tol is False: it would pass the check below
+    if not math.isfinite(residual):  # NaN > tol is False: it would pass the check below
         raise ArithmeticError("matrix has a non-finite entry")
     if residual > tol.herm:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     # an exactly Hermitian m is bitwise its own Hermitian part
-    return np.linalg.eigvalsh(m if residual == 0.0 else hermitian_part(m))
+    h = m if residual == 0.0 else hermitian_part(m)
+    dim = h.shape[0]
+    n = dim.bit_length() - 1
+    classical = _classical_qubits(h, n) if dim == 2**n else []
+    if not classical:
+        return np.linalg.eigvalsh(h)
+    return _split_eigenvalues(h, n, classical)
+
+
+def _classical_qubits(h: np.ndarray, n: int) -> list[int]:
+    """The qubits in which ``h`` has no off-diagonal block: exactly zero, no
+    tolerance.  ``h`` is exactly Hermitian, so its ``[1, 0]`` block in a
+    qubit is the adjoint of its ``[0, 1]`` block and testing one tests both."""
+    classical = []
+    for q in range(n):
+        blocks = h.reshape(2**q, 2, 2 ** (n - 1 - q), 2**q, 2, 2 ** (n - 1 - q))
+        if not blocks[:, 0, :, :, 1, :].any():
+            classical.append(q)
+    return classical
+
+
+def _split_eigenvalues(h: np.ndarray, n: int, classical: list[int]) -> np.ndarray:
+    """Eigenvalues of ``h`` from its ``2**m`` diagonal blocks over ``m``
+    classical qubits, ascending.
+
+    A permutation of the basis puts the classical bits first, which makes
+    ``h`` block-diagonal with one block per classical bit string; the
+    spectrum is the union of the blocks' spectra.  The blocks are read
+    through one strided view of ``h``, never a permuted copy of it; blocks
+    with no off-diagonal entry give their diagonal, the rest go to one
+    batched ``eigvalsh``.
+    """
+    quantum = [q for q in range(n) if q not in classical]
+    row, col = h.strides
+    step = [2 ** (n - 1 - q) for q in range(n)]
+    blocks = np.lib.stride_tricks.as_strided(
+        h,
+        shape=(2,) * (len(classical) + 2 * len(quantum)),
+        strides=[step[q] * (row + col) for q in classical]
+        + [step[q] * row for q in quantum]
+        + [step[q] * col for q in quantum],
+        writeable=False,
+    )
+    side = 2 ** len(quantum)
+    blocks = blocks.reshape(2 ** len(classical), side, side)
+    coupled = blocks != 0
+    coupled[:, np.arange(side), np.arange(side)] = False
+    solve = coupled.any(axis=(1, 2))
+    ev = np.diagonal(blocks, axis1=1, axis2=2).real.copy()
+    if solve.any():
+        ev[solve] = np.linalg.eigvalsh(blocks[solve])
+    return np.sort(ev, axis=None)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the trace norm of ``rho - sigma``: the best distinguishing advantage."""
+    """Half the trace norm of ``rho - sigma``: the best distinguishing advantage.
+
+    The eigensolve splits over the qubits in which ``rho - sigma`` has no
+    off-diagonal block, such as a qubit both states hold measured or freshly
+    prepared, as :func:`hermitian_eigenvalues` describes.
+    """
     if rho.qubits != sigma.qubits:
         raise ValueError(
             f"qubit count mismatch: {rho.qubits} vs {sigma.qubits}"

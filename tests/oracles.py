@@ -2,8 +2,9 @@
 library's strided kernels are checked against, assembled channels and the
 Pauli-form depolarizer its kernels and affine noise round are checked
 against, the full subset enumeration its pruned one is checked against, the
-serial level loop its threaded report is checked against, and a trajectory
-writer."""
+serial level loop its threaded report is checked against, circuits of the
+benchmark's gate mix with the dense worthlessness verdicts the split
+eigensolves are checked against, and a trajectory writer."""
 
 import itertools
 import math
@@ -13,9 +14,9 @@ import numpy as np
 
 from decolab.analysis import MaxProfile, _batched_reduce, max_profile
 from decolab.channels import GATES, QuantumChannel
-from decolab.circuit import Circuit, Trajectory, format_complex, run_noisy
+from decolab.circuit import Circuit, Trajectory, format_complex, parse_circuit, run_noisy
 from decolab.config import HARD_MAX_QUBITS, ResourceLimitError
-from decolab.linalg import DensityMatrix, permute_matrix, tensor
+from decolab.linalg import DensityMatrix, haar_unitary, permute_matrix, tensor
 
 #: assembled channels refuse to materialize more Kraus terms than this
 KRAUS_TERM_CAP = 256
@@ -84,6 +85,65 @@ def serial_level_profiles(
     return [
         max_profile([t.levels[level] for t in trajectories]) for level in range(circuit.depth + 1)
     ]
+
+
+def mixed_circuit(
+    rng: np.random.Generator, width: int, depth: int, last: Sequence[str] = ()
+) -> Circuit:
+    """A width-preserving ``k = 2`` circuit of the benchmark's mix: Haar
+    unitaries on one or two qubits, ``DEPHASE``, and ``TRACEOUT``/``PREP0``
+    refresh pairs.
+
+    With ``last`` (kinds among ``"DEPHASE"`` and ``"REFRESH"``), the final
+    layer measures or refreshes a random non-empty set of qubits, the kinds
+    taken in turn, and puts unitaries on the rest; every qubit it measures
+    or refreshes is classical in the outputs.
+    """
+    lines = ["k 2", f"width {width}"]
+
+    def place(kind: str, wires: list[int]) -> None:
+        names = ",".join(str(q) for q in wires)
+        if kind == "DEPHASE":
+            lines.append(f"gate DEPHASE [{names}] -> [{names}]")
+        elif kind == "REFRESH":
+            lines.append(f"gate TRACEOUT [{names}] -> []")
+            lines.append(f"gate PREP0 [] -> [{names}]")
+        else:
+            entries = " ".join(format_complex(z) for z in haar_unitary(len(wires), rng).flat)
+            lines.append(f"unitary {entries} [{names}] -> [{names}]")
+
+    for layer in range(depth):
+        lines.append("layer")
+        remaining = [int(q) for q in rng.permutation(width)]
+        final = layer == depth - 1 and bool(last)
+        if final:
+            classical = remaining[: int(rng.integers(1, width + 1))]
+            remaining = remaining[len(classical) :]
+            for i, q in enumerate(classical):
+                place(last[i % len(last)], [q])
+        while remaining:
+            size = int(rng.integers(1, min(2, len(remaining)) + 1))
+            block, remaining = sorted(remaining[:size]), remaining[size:]
+            kind = rng.random() if size == 1 and not final else 0.0
+            place("UNITARY" if kind < 0.4 else "DEPHASE" if kind < 0.7 else "REFRESH", block)
+    return parse_circuit("\n".join(lines) + "\n")
+
+
+def dense_verdicts(
+    circuit: Circuit, eta: float, probes: Sequence[DensityMatrix]
+) -> tuple[float, float]:
+    """The largest output distance over probe pairs and the largest from the
+    maximally mixed state, each pair by one ``eigvalsh`` of the whole
+    difference: the values ``practically_worthless`` and ``worthless``
+    return."""
+    finals = [run_noisy(circuit, eta, p).levels[-1].mat for p in probes]
+
+    def distance(a: np.ndarray, b: np.ndarray) -> float:
+        return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+    mixed = np.eye(finals[0].shape[0]) / finals[0].shape[0]
+    pairwise = max((distance(a, b) for a, b in itertools.combinations(finals, 2)), default=0.0)
+    return pairwise, max(distance(f, mixed) for f in finals)
 
 
 def identity_channel(qubits: int) -> QuantumChannel:

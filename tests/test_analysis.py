@@ -44,7 +44,7 @@ from decolab.config import ResourceLimitError
 from decolab.linalg import DensityMatrix, random_density, random_pure_state, trace_distance
 
 import decolab.analysis
-from oracles import full_enumeration_profiles, serial_level_profiles
+from oracles import dense_verdicts, full_enumeration_profiles, mixed_circuit, serial_level_profiles
 
 
 def wire_circuit(depth: int) -> Circuit:
@@ -650,6 +650,16 @@ class TestWorthlessness:
         # ... yet all inputs agree, so the pairwise notion does hold
         flag_p, dist_p = practically_worthless(c, 0.95)
         assert flag_p and dist_p < 1e-10
+
+    @pytest.mark.parametrize("last", [(), ("DEPHASE", "REFRESH")])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdicts_match_whole_matrix_solves(self, seed, last):
+        rng = np.random.default_rng(seed)
+        c = mixed_circuit(rng, 5, 4, last)
+        probes = make_probes("random:3", 5, seed)
+        pairwise, mixed = dense_verdicts(c, 0.3, probes)
+        assert practically_worthless(c, 0.3, probes=probes)[1] == pytest.approx(pairwise, abs=1e-12)
+        assert worthless(c, 0.3, probes=probes)[1] == pytest.approx(mixed, abs=1e-12)
 
     @pytest.mark.parametrize("qubits", [1, 2])
     @pytest.mark.parametrize("verdict", [practically_worthless, worthless])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import decolab
+from decolab.circuit import run_noisy
 from decolab.config import BLAS_THREADS_ENV, ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
@@ -26,7 +28,7 @@ from decolab.linalg import (
     trace_distance,
     validate_density,
 )
-from oracles import permutation_unitary, permute_qubits, tensor_all
+from oracles import mixed_circuit, permutation_unitary, permute_qubits, tensor_all
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,6 +121,15 @@ class TestPartialTrace:
             check_subset([1, 0], 2)
 
 
+def _recorded_eigvalsh(monkeypatch) -> tuple[list, object]:
+    """Record every matrix ``eigvalsh`` solves; return the record and the
+    unrecorded ``eigvalsh``."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m) or eigvalsh(m))
+    return seen, eigvalsh
+
+
 class TestHermitianEigenvalues:
     def test_diagonal_sorted_ascending(self):
         ev = hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0, 0.0]).astype(complex)[:3, :3])
@@ -156,9 +167,7 @@ class TestHermitianEigenvalues:
     def test_exactly_hermitian_input_is_solved_as_given(self, rng, monkeypatch):
         h = _rand_state(rng, 3).mat
         assert np.array_equal(h, h.conj().T)
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m) or eigvalsh(m))
+        seen, eigvalsh = _recorded_eigvalsh(monkeypatch)
         assert np.array_equal(hermitian_eigenvalues(h), eigvalsh(h))
         assert seen[0] is h
 
@@ -178,6 +187,98 @@ class TestHermitianEigenvalues:
         # m^H - m and its real moduli; the former check held m^H, m - m^H
         # and |m - m^H|, 2.5 matrices
         assert peak < 2 * h.nbytes
+
+
+def _output_differences(last, width) -> list[np.ndarray]:
+    """Pair differences of three noisy outputs of a circuit whose last layer
+    measures or refreshes qubits, and each output minus the maximally mixed
+    state."""
+    rng = np.random.default_rng(width)
+    circ = mixed_circuit(rng, width, 3, last)
+    finals = [run_noisy(circ, 0.3, random_density(width, rng)).levels[-1].mat for _ in range(3)]
+    mixed = np.eye(2**width) / 2**width
+    return [a - b for a, b in itertools.combinations(finals, 2)] + [f - mixed for f in finals]
+
+
+class TestClassicalSplit:
+    @pytest.mark.parametrize("width", range(1, 8))
+    @pytest.mark.parametrize("last", [("DEPHASE",), ("REFRESH",), ("DEPHASE", "REFRESH")])
+    def test_split_matches_the_whole_solve(self, last, width, monkeypatch):
+        seen, eigvalsh = _recorded_eigvalsh(monkeypatch)
+        for diff in _output_differences(last, width):
+            seen.clear()
+            ev = hermitian_eigenvalues(diff)
+            assert np.max(np.abs(ev - eigvalsh(diff))) <= 1e-12
+            # the measured and refreshed qubits are classical in every difference
+            assert all(m.shape[-1] < diff.shape[0] for m in seen)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_diagonal_states_need_no_solve(self, width, rng, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("solved a diagonal"))
+        p, q = rng.dirichlet(np.ones(2**width), size=2)
+        d = trace_distance(DensityMatrix(width, np.diag(p)), DensityMatrix(width, np.diag(q)))
+        assert d == pytest.approx(0.5 * np.abs(p - q).sum(), abs=1e-14)
+
+    def test_blocks_are_merged_ascending(self, rng):
+        # qubit 0 is classical, and its |0> block's spectrum lies above its
+        # |1> block's, whose coupling is away from its first row and column
+        high = _rand_state(rng, 2).mat + 2 * np.eye(4)
+        low = np.diag([0.5, 0.0, 0.0, 0.125]).astype(complex)
+        low[1, 2] = low[2, 1] = 0.25
+        h = np.kron(np.diag([1.0, 0.0]), high) + np.kron(np.diag([0.0, 1.0]), low)
+        ev = hermitian_eigenvalues(h)
+        assert np.all(np.diff(ev) >= 0)
+        assert np.max(np.abs(ev - np.linalg.eigvalsh(h))) <= 1e-12
+
+    def test_a_tiny_coupling_keeps_the_whole_solve(self, monkeypatch):
+        # every qubit coupled, by far less than any tolerance
+        h = 1e-200 * (np.ones((8, 8), dtype=complex) - np.eye(8))
+        seen, eigvalsh = _recorded_eigvalsh(monkeypatch)
+        ev = hermitian_eigenvalues(h)
+        assert np.array_equal(ev, eigvalsh(h))
+        assert len(seen) == 1 and seen[0] is h
+        assert 0.5 * np.abs(ev).sum() == pytest.approx(7e-200, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "h",
+        [np.diag([0.5, -0.25, 0.0]), [[0.5, 0.25j, 0], [-0.25j, 0.5, 0], [0, 0, -1]], [[0.75]]],
+    )
+    def test_sizes_that_do_not_split_are_solved_whole(self, h, monkeypatch):
+        h = np.array(h, dtype=complex)
+        seen, eigvalsh = _recorded_eigvalsh(monkeypatch)
+        assert np.array_equal(hermitian_eigenvalues(h), eigvalsh(h))
+        assert len(seen) == 1 and seen[0] is h
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [[(1, 2), (2, 1)], [(1, 2)]])
+    def test_a_non_finite_coupling_is_never_zero(self, bad, where):
+        # qubit 0 would be classical but for its off-diagonal block
+        h = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+        for entry in where:
+            h[entry] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            hermitian_eigenvalues(h)
+
+    @pytest.mark.parametrize("entry", [(2, 1), (0, 1)])
+    def test_a_non_hermitian_matrix_is_refused(self, entry):
+        # (2, 1): qubit 0's [1, 0] block without its [0, 1] adjoint;
+        # (0, 1): a one-sided entry inside a block of the classical qubit 0
+        h = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+        h[entry] = 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(h)
+
+    def test_split_holds_no_more_than_the_residual_check(self):
+        diff = _output_differences(("DEPHASE",), 7)[0]
+        tracemalloc.start()
+        try:
+            hermitian_eigenvalues(diff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the residual check's m^H - m and its moduli, 1.5 matrices; the
+        # blocks are strided views or one gather smaller than the matrix
+        assert peak < 1.6 * diff.nbytes
 
 
 class TestTraceDistance:
