@@ -651,12 +651,13 @@ class TestWorthlessness:
         flag_p, dist_p = practically_worthless(c, 0.95)
         assert flag_p and dist_p < 1e-10
 
+    @pytest.mark.parametrize("width", [5, 7])  # below and above the split's floor
     @pytest.mark.parametrize("last", [(), ("DEPHASE", "REFRESH")])
     @pytest.mark.parametrize("seed", range(4))
-    def test_verdicts_match_whole_matrix_solves(self, seed, last):
+    def test_verdicts_match_whole_matrix_solves(self, seed, last, width):
         rng = np.random.default_rng(seed)
-        c = mixed_circuit(rng, 5, 4, last)
-        probes = make_probes("random:3", 5, seed)
+        c = mixed_circuit(rng, width, 4, last)
+        probes = make_probes("random:3", width, seed)
         pairwise, mixed = dense_verdicts(c, 0.3, probes)
         assert practically_worthless(c, 0.3, probes=probes)[1] == pytest.approx(pairwise, abs=1e-12)
         assert worthless(c, 0.3, probes=probes)[1] == pytest.approx(mixed, abs=1e-12)

@@ -200,7 +200,21 @@ def _output_differences(last, width) -> list[np.ndarray]:
     return [a - b for a, b in itertools.combinations(finals, 2)] + [f - mixed for f in finals]
 
 
+def test_matrices_below_the_floor_are_solved_whole(monkeypatch):
+    small, large = (_output_differences(("DEPHASE",), w)[0] for w in (5, 6))
+    seen, eigvalsh = _recorded_eigvalsh(monkeypatch)
+    assert np.array_equal(hermitian_eigenvalues(small), eigvalsh(small))
+    assert len(seen) == 1 and seen[0] is small
+    seen.clear()
+    hermitian_eigenvalues(large)
+    assert all(m.shape[-1] < large.shape[0] for m in seen)
+
+
 class TestClassicalSplit:
+    @pytest.fixture(autouse=True)
+    def split_every_size(self, monkeypatch):
+        monkeypatch.setattr(decolab.linalg, "_SPLIT_MIN_DIM", 1)
+
     @pytest.mark.parametrize("width", range(1, 8))
     @pytest.mark.parametrize("last", [("DEPHASE",), ("REFRESH",), ("DEPHASE", "REFRESH")])
     def test_split_matches_the_whole_solve(self, last, width, monkeypatch):
@@ -230,14 +244,18 @@ class TestClassicalSplit:
         assert np.all(np.diff(ev) >= 0)
         assert np.max(np.abs(ev - np.linalg.eigvalsh(h))) <= 1e-12
 
-    def test_a_tiny_coupling_keeps_the_whole_solve(self, monkeypatch):
-        # every qubit coupled, by far less than any tolerance
-        h = 1e-200 * (np.ones((8, 8), dtype=complex) - np.eye(8))
+    @pytest.mark.parametrize("flips", [1, 2])
+    def test_a_tiny_coupling_keeps_the_whole_solve(self, flips, monkeypatch):
+        # every qubit coupled, by far less than any tolerance, between indices
+        # that differ in at least ``flips`` bits: with 2, no entry h[i, i ^ bit]
+        # is nonzero and only the block scan sees the coupling
+        x = np.arange(64)[:, None] ^ np.arange(64)
+        h = 1e-200 * (sum((x >> b) & 1 for b in range(6)) >= flips).astype(complex)
         seen, eigvalsh = _recorded_eigvalsh(monkeypatch)
         ev = hermitian_eigenvalues(h)
         assert np.array_equal(ev, eigvalsh(h))
         assert len(seen) == 1 and seen[0] is h
-        assert 0.5 * np.abs(ev).sum() == pytest.approx(7e-200, rel=1e-9)
+        assert 0.5 * np.abs(ev).sum() > 0
 
     @pytest.mark.parametrize(
         "h",
@@ -268,16 +286,26 @@ class TestClassicalSplit:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(h)
 
-    def test_split_holds_no_more_than_the_residual_check(self):
-        diff = _output_differences(("DEPHASE",), 7)[0]
+    @pytest.mark.parametrize("qubit", [0, 3, 6])
+    @pytest.mark.parametrize("refreshed", [False, True])
+    def test_split_holds_no_more_than_the_residual_check(self, qubit, refreshed, rng, monkeypatch):
+        # one classical qubit of seven; in the middle, its blocks cannot be a
+        # view; refreshed, its |1> half is zero and needs no solve
+        diff = _rand_state(rng, 7).mat - _rand_state(rng, 7).mat
+        t = diff.reshape(2**qubit, 2, 2 ** (6 - qubit), 2**qubit, 2, 2 ** (6 - qubit))
+        t[:, 0, :, :, 1, :] = t[:, 1, :, :, 0, :] = 0
+        if refreshed:
+            t[:, 1, :, :, 1, :] = 0
+        seen, _ = _recorded_eigvalsh(monkeypatch)
         tracemalloc.start()
         try:
             hermitian_eigenvalues(diff)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the residual check's m^H - m and its moduli, 1.5 matrices; the
-        # blocks are strided views or one gather smaller than the matrix
+        assert [m.shape for m in seen] == [(1 if refreshed else 2, 64, 64)]
+        # the residual check's m^H - m and its moduli, 1.5 matrices, freed
+        # before the blocks, which take at most half a matrix
         assert peak < 1.6 * diff.nbytes
 
 
