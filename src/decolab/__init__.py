@@ -48,7 +48,7 @@ from .circuit import (
     run_noisy,
     serialize_circuit,
 )
-from .config import BLAS_THREADS, BLAS_THREADS_ENV, ResourceLimitError, Tolerances, max_qubits
+from .config import BLAS_THREADS, BLAS_THREADS_ENV, ResourceLimitError, max_qubits
 from .linalg import (
     DensityMatrix,
     ValidationReport,
@@ -78,7 +78,6 @@ __all__ = [
     "QuantumChannel",
     "ResourceLimitError",
     "ThresholdInfo",
-    "Tolerances",
     "Trajectory",
     "ValidationReport",
     "analytic_bound",

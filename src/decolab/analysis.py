@@ -42,6 +42,7 @@ from .circuit import Circuit, run_noisy
 from .config import BLAS_THREADS, BLAS_THREADS_ENV, ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
+    batched_partial_trace,
     check_subset,
     partial_trace,
     permute_matrix,
@@ -70,6 +71,7 @@ __all__ = [
     "pairwise_profiles",
     "practically_worthless",
     "recursion_step_bound",
+    "require_enumerable",
     "theta_and_threshold",
     "worthless",
 ]
@@ -130,6 +132,8 @@ def theta_and_threshold(k: int, eta: float) -> ThresholdInfo:
     """Contraction factor ``k (1 - eta)`` and the collapse threshold ``1 - 1/k``."""
     if k < 1:
         raise ValueError(f"fan-in k must be >= 1, got {k}")
+    if not 0.0 <= eta <= 1.0:  # NaN fails this too
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     threshold = 1.0 - 1.0 / k
     return ThresholdInfo(theta=k * (1.0 - eta), threshold=threshold, above=eta > threshold)
 
@@ -212,7 +216,7 @@ def noise_rounds_at_level(level: int, depth: int, extra_noise_round: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-def _require_enumerable(qubits: int) -> None:
+def require_enumerable(qubits: int) -> None:
     if qubits > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"subset enumeration over {qubits} qubits exceeds the cap "
@@ -224,20 +228,6 @@ def _subsets(qubits: int):
     """All subsets, sizes ascending and lexicographic within a size."""
     for size in range(qubits + 1):
         yield from itertools.combinations(range(qubits), size)
-
-
-def _batched_reduce(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a stack of states down to ``keep``, batched."""
-    t = stack.reshape((stack.shape[0],) + (2,) * (2 * qubits))
-    row = [1 + q for q in range(qubits)]
-    col = [1 + qubits + q for q in range(qubits)]
-    for q in range(qubits):
-        if q not in keep:
-            col[q] = row[q]
-    out = [0] + [row[q] for q in keep] + [col[q] for q in keep]
-    red = np.einsum(t, [0] + row + col, out)
-    d = 2 ** len(keep)
-    return red.reshape(stack.shape[0], d, d)
 
 
 #: bytes of each eigensolve batch's pair differences: the buffer, not the
@@ -392,7 +382,7 @@ def _top_down(
     for s in states:
         if s.qubits != qubits:
             raise ValueError("all states must share one qubit count")
-    _require_enumerable(qubits)
+    require_enumerable(qubits)
     iu, ju = np.triu_indices(len(states), 1)
     best = np.zeros((iu.size, qubits + 1))
     if iu.size == 0:
@@ -423,9 +413,9 @@ def _top_down(
                 dist = _factored_distances(factors, qubits, keep, iu, ju, todo)
                 factored += todo.size
             elif per_pair:
-                dist = _dense_distances(_batched_reduce(stack, qubits, keep), iu, ju, todo)
+                dist = _dense_distances(batched_partial_trace(stack, qubits, keep), iu, ju, todo)
             else:
-                red = _batched_reduce(stack, qubits, keep)
+                red = batched_partial_trace(stack, qubits, keep)
                 frobenius = _frobenius_bounds(red, iu[todo], ju[todo])
                 # a NaN bound would prune its pair, and every subset below it
                 if not np.isfinite(frobenius).all():
@@ -480,10 +470,11 @@ def distance_profile(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
 
 
 def empirical_d(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
-    """Exact ``max_{|A| <= n} D(rho|_A, sigma|_A)`` by full enumeration.
+    """Exact ``max_{|A| <= n} D(rho|_A, sigma|_A)`` over every qubit subset.
 
-    The empty subset contributes 0 and the maximum saturates once ``n``
-    reaches the register size.
+    The enumeration is pruned as in :func:`pairwise_profiles` and equals full
+    enumeration within 1e-12.  The empty subset contributes 0 and the maximum
+    saturates once ``n`` reaches the register size.
     """
     if n < 0:
         raise ValueError(f"subset size must be >= 0, got {n}")
@@ -505,7 +496,7 @@ def check_noise_action(rho: DensityMatrix, b: Sequence[int], eta: float) -> floa
     returns the largest entrywise deviation.
     """
     b_idx = check_subset(b, rho.qubits)
-    _require_enumerable(len(b_idx))
+    require_enumerable(len(b_idx))
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     lhs = partial_trace(depolarize_all(rho, eta), b_idx).mat

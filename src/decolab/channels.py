@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import KRAUS_TOL, UNITARY_TOL
 from .linalg import DensityMatrix, ValidationReport, settle
 
 __all__ = [
@@ -89,7 +89,7 @@ def channel_from_unitary(u: np.ndarray, label: str = "") -> QuantumChannel:
     if not np.isfinite(u).all():  # a NaN residual would pass the check below
         raise ValueError("unitary has a non-finite entry")
     residual = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if residual > DEFAULT_TOLERANCES.unitary:
+    if residual > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
     return QuantumChannel(n, n, (u,), label=label)
 
@@ -125,16 +125,14 @@ def channel_apply(t: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(t.out_qubits, settle(out))
 
 
-def channel_validate(
-    t: QuantumChannel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ValidationReport:
-    """Check Kraus completeness ``sum K^dagger K = I`` within ``tol.kraus``."""
+def channel_validate(t: QuantumChannel) -> ValidationReport:
+    """Check Kraus completeness ``sum K^dagger K = I`` within ``KRAUS_TOL``."""
     dim_in = 2**t.in_qubits
     acc = np.zeros((dim_in, dim_in), dtype=np.complex128)
     for k in t.kraus:
         acc += k.conj().T @ k
     residual = float(np.max(np.abs(acc - np.eye(dim_in))))
-    if residual > tol.kraus:
+    if residual > KRAUS_TOL:
         return ValidationReport((("completeness", residual),))
     return ValidationReport(())
 

@@ -14,8 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,54 +28,13 @@ from .circuit import CircuitError, parse_circuit_file
 from .config import ResourceLimitError
 from .linalg import random_density, trace_distance
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
-
-
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, validated before any computation."""
-
-    command: str
-    circuit: str | None = None
-    eta: float | None = None
-    k: list[int] = field(default_factory=list)
-    depth: int = 10
-    width: int | None = None
-    n: list[int] = field(default_factory=lambda: [1])
-    eps: float = analysis.DEFAULT_EPS
-    seed: int = 0
-    probes: str | None = None
-    output: str | None = None
-    fmt: str = "csv"
-    extra_noise_round: bool = False
-    jobs: int = 1
-    suite: str = "all"
-    qubits: int = 3
-    trials: int | None = None
-    etas: list[float] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for eta in ([self.eta] if self.eta is not None else []) + self.etas:
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        for k in self.k:
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-        for n in self.n:
-            if n < 0:
-                raise ValueError(f"n must be >= 0, got {n}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
 
 
 def _fmt(value) -> str:
@@ -118,10 +75,10 @@ def _write_table(
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _default_output(config: RunConfig, stem: str) -> str:
-    if config.output:
-        return config.output
-    suffix = "json" if config.fmt == "json" else "csv"
+def _default_output(args: argparse.Namespace, stem: str) -> str:
+    if args.output:
+        return args.output
+    suffix = "json" if args.fmt == "json" else "csv"
     return f"{stem}.{suffix}"
 
 
@@ -130,29 +87,33 @@ def _default_output(config: RunConfig, stem: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    circuit = parse_circuit_file(config.circuit)
-    if config.width is not None and circuit.width != config.width:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.eta <= 1.0:  # NaN fails this too
+        raise ValueError(f"eta must lie in [0, 1], got {args.eta}")
+    if not 0.0 < args.eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {args.eps}")
+    circuit = parse_circuit_file(args.circuit)
+    if args.width is not None and circuit.width != args.width:
         raise ValueError(
-            f"circuit width is {circuit.width}, expected --width {config.width}"
+            f"circuit width is {circuit.width}, expected --width {args.width}"
         )
-    probes_spec = config.probes
+    probes_spec = args.probes
     if probes_spec is None:
-        probes = analysis.default_probes(circuit.in_width, config.seed)
+        probes = analysis.default_probes(circuit.in_width, args.seed)
         probes_spec = "auto"
     else:
-        probes = analysis.make_probes(probes_spec, circuit.in_width, config.seed)
+        probes = analysis.make_probes(probes_spec, circuit.in_width, args.seed)
     report = analysis.distance_report(
         circuit,
-        config.eta,
+        args.eta,
         probes,
-        eps=config.eps,
-        extra_noise_round=config.extra_noise_round,
+        eps=args.eps,
+        extra_noise_round=args.extra_noise_round,
     )
     columns = ["level", "i_width", "n", "empirical_d", "bound", "slack"]
     rows = [list(r) for r in report.rows]
-    out = _default_output(config, "report")
-    _write_table(out, columns, rows, config.fmt)
+    out = _default_output(args, "report")
+    _write_table(out, columns, rows, args.fmt)
     verdict = (
         "collapse certified on the probe set (heuristic)"
         if report.practically_worthless
@@ -161,7 +122,7 @@ def cmd_simulate(config: RunConfig) -> int:
     print(
         f"simulate: final_max_distance={_fmt(report.final_max_distance)} "
         f"practically_worthless={_fmt(report.practically_worthless)} "
-        f"eps={_fmt(config.eps)} probes={probes_spec} n_probes={len(probes)} "
+        f"eps={_fmt(args.eps)} probes={probes_spec} n_probes={len(probes)} "
         f"min_slack={_fmt(report.min_slack())} output={out} [{verdict}]"
     )
     print(
@@ -173,25 +134,25 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bound(config: RunConfig) -> int:
-    k = config.k[0]
-    eta = config.eta
-    n_max = config.n[0]
-    series = analysis.f_series(k, eta, config.depth)
+def cmd_bound(args: argparse.Namespace) -> int:
+    k, eta, n_max = args.k, args.eta, args.n
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    series = analysis.f_series(k, eta, args.depth)
     info = analysis.theta_and_threshold(k, eta)
     flag = "above-threshold" if info.above else "at/below-threshold"
     columns = ["i", "f_i", "theta_pow_i", *(f"bound_n{j}" for j in range(1, n_max + 1))]
     rows = []
-    for i in range(config.depth + 1):
+    for i in range(args.depth + 1):
         row: list = [i, series.f[i], info.theta**i]
         row.extend(analysis.analytic_bound(series, i, j) for j in range(1, n_max + 1))
         rows.append(row)
-    out = _default_output(config, "bound")
+    out = _default_output(args, "bound")
     preamble = [
         f"k={k} eta={_fmt(eta)} theta={_fmt(info.theta)} "
         f"threshold={_fmt(info.threshold)} {flag}"
     ]
-    _write_table(out, columns, rows, config.fmt, preamble=preamble)
+    _write_table(out, columns, rows, args.fmt, preamble=preamble)
     print(
         f"bound: k={k} eta={_fmt(eta)} theta={_fmt(info.theta)} "
         f"threshold={_fmt(info.threshold)} {flag} rows={len(rows)} output={out}"
@@ -199,29 +160,18 @@ def cmd_bound(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_point(point: tuple[int, float, int, float]) -> list:
-    k, eta, n, eps = point
-    depth = analysis.min_worthless_depth(k, eta, n, eps)
-    if depth == analysis.BELOW_THRESHOLD:
-        depth = "n/a"
-    return [k, eta, n, eps, depth]
-
-
-def cmd_sweep(config: RunConfig) -> int:
-    points = [
-        (k, eta, n, config.eps)
-        for k, eta, n in itertools.product(config.k, config.etas, config.n)
-    ]
-    if not points:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    rows = []
+    for k, eta, n in itertools.product(args.k, args.eta, args.n):
+        depth = analysis.min_worthless_depth(k, eta, n, args.eps)
+        rows.append([k, eta, n, args.eps, "n/a" if depth == analysis.BELOW_THRESHOLD else depth])
+    if not rows:
         raise ValueError("sweep needs at least one (k, eta, n) point")
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        rows = [_sweep_point(p) for p in points]
     columns = ["k", "eta", "n", "eps", "min_depth"]
-    out = _default_output(config, "sweep")
-    _write_table(out, columns, rows, config.fmt)
+    out = _default_output(args, "sweep")
+    _write_table(out, columns, rows, args.fmt)
     print(f"sweep: points={len(rows)} output={out}")
     return EXIT_OK
 
@@ -264,19 +214,24 @@ def _check_kraus() -> float:
     return worst
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.qubits < 0:
+        raise ValueError(f"qubits must be >= 0, got {args.qubits}")
+    analysis.require_enumerable(args.qubits)
     suites = {
         "noise-action": (
-            lambda: _check_noise_action(config.qubits, config.trials or 100, config.seed),
+            lambda: _check_noise_action(args.qubits, args.trials or 100, args.seed),
             1e-10,
         ),
         "contractivity": (
-            lambda: _check_contractivity(config.trials or 200, config.seed),
+            lambda: _check_contractivity(args.trials or 200, args.seed),
             1e-9,
         ),
         "kraus": (lambda: _check_kraus(), 1e-9),
     }
-    selected = list(suites) if config.suite == "all" else [config.suite]
+    selected = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in selected:
         runner, tol = suites[name]
@@ -325,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also depolarize before the first layer and after the last",
     )
+    sim.set_defaults(handler=cmd_simulate)
 
     bnd = sub.add_parser("bound", help="tabulate the analytic recursion")
     bnd.add_argument("--k", type=int, required=True)
@@ -333,15 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--n", type=int, default=1, help="largest readout size to tabulate")
     bnd.add_argument("--output")
     bnd.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    bnd.set_defaults(handler=cmd_bound)
 
     swp = sub.add_parser("sweep", help="grid min_worthless_depth over (k, eta, n)")
     swp.add_argument("--k", type=_int_list, required=True, help="comma-separated fan-ins")
     swp.add_argument("--eta", type=_float_list, required=True, help="comma-separated rates")
     swp.add_argument("--n", type=_int_list, required=True, help="comma-separated readout sizes")
     swp.add_argument("--eps", type=float, default=analysis.DEFAULT_EPS)
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument(
+        "--jobs", type=int, default=1, help="kept for compatibility; changes nothing"
+    )
     swp.add_argument("--output")
     swp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    swp.set_defaults(handler=cmd_sweep)
 
     chk = sub.add_parser("check", help="run the built-in numerical self-checks")
     chk.add_argument(
@@ -352,60 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--qubits", type=int, default=3)
     chk.add_argument("--trials", type=int)
     chk.add_argument("--seed", type=int, default=0)
+    chk.set_defaults(handler=cmd_check)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if args.command == "simulate":
-        config.circuit = args.circuit
-        config.eta = args.eta
-        config.probes = args.probes
-        config.eps = args.eps
-        config.seed = args.seed
-        config.width = args.width
-        config.output = args.output
-        config.fmt = args.fmt
-        config.extra_noise_round = args.extra_noise_round
-    elif args.command == "bound":
-        config.k = [args.k]
-        config.eta = args.eta
-        config.depth = args.depth
-        config.n = [args.n]
-        config.output = args.output
-        config.fmt = args.fmt
-    elif args.command == "sweep":
-        config.k = args.k
-        config.etas = args.eta
-        config.n = args.n
-        config.eps = args.eps
-        config.jobs = args.jobs
-        config.output = args.output
-        config.fmt = args.fmt
-    elif args.command == "check":
-        config.suite = args.suite
-        config.qubits = args.qubits
-        config.trials = args.trials
-        config.seed = args.seed
-    config.validate()
-    return config
-
-
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "bound": cmd_bound,
-    "sweep": cmd_sweep,
-    "check": cmd_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[args.command](config)
+        return args.handler(args)
     except ResourceLimitError as exc:
         print(f"decolab: resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -8,7 +8,6 @@ variable (default 10, hard ceiling 12 = one dense 4096x4096 state).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 MAX_QUBITS_ENV = "DECOLAB_MAX_QUBITS"
 DEFAULT_MAX_QUBITS = 10
@@ -24,23 +23,13 @@ TRACE_RENORM_LIMIT = 1e-6
 BLAS_THREADS = 1
 BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Validation tolerances for states and channels.
-
-    Defaults assume double precision and at most ~10^3 arithmetic layers,
-    which keeps drift well below every threshold here.
-    """
-
-    herm: float = 1e-9
-    trace: float = 1e-9
-    psd: float = 1e-8
-    kraus: float = 1e-9
-    unitary: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: validation tolerances for states and channels; they assume double precision
+#: and at most ~10^3 arithmetic layers, which keeps drift well below each one
+HERM_TOL = 1e-9
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-8
+KRAUS_TOL = 1e-9
+UNITARY_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):

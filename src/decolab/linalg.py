@@ -16,16 +16,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import (
-    DEFAULT_TOLERANCES,
     HARD_MAX_QUBITS,
+    HERM_TOL,
+    PSD_TOL,
     TRACE_RENORM_LIMIT,
+    TRACE_TOL,
     ResourceLimitError,
-    Tolerances,
 )
 
 __all__ = [
     "DensityMatrix",
     "ValidationReport",
+    "batched_partial_trace",
     "check_subset",
     "haar_unitary",
     "hermitian_eigenvalues",
@@ -210,6 +212,21 @@ def settle(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def batched_partial_trace(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a ``(states, 2**qubits, 2**qubits)`` stack down to the
+    strictly increasing ``keep``, as one tied-index ``einsum``."""
+    t = stack.reshape((stack.shape[0],) + (2,) * (2 * qubits))
+    row = [1 + q for q in range(qubits)]
+    col = [1 + qubits + q for q in range(qubits)]
+    for q in range(qubits):
+        if q not in keep:
+            col[q] = row[q]  # tie row/col index => sum the diagonal
+    out = [0] + [row[q] for q in keep] + [col[q] for q in keep]
+    red = np.einsum(t, [0] + row + col, out)
+    d = 2 ** len(keep)
+    return red.reshape(stack.shape[0], d, d)
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on ``keep``, tracing out every other qubit.
 
@@ -218,27 +235,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keeping nothing yields the scalar state.
     """
     keep_idx = check_subset(keep, rho.qubits)
-    n = rho.qubits
-    if len(keep_idx) == n:
+    if len(keep_idx) == rho.qubits:
         return rho
-    t = rho.mat.reshape((2,) * (2 * n))
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for q in range(n):
-        if q not in keep_idx:
-            col[q] = row[q]  # tie row/col index => sum the diagonal
-    out_sub = [row[q] for q in keep_idx] + [col[q] for q in keep_idx]
-    red = np.einsum(t, row + col, out_sub)
-    d = 2 ** len(keep_idx)
-    return DensityMatrix(len(keep_idx), red.reshape(d, d))
+    red = batched_partial_trace(rho.mat[None], rho.qubits, keep_idx)[0]
+    return DensityMatrix(len(keep_idx), red)
 
 
-def hermitian_eigenvalues(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Rejects inputs whose anti-Hermitian part exceeds ``tol.herm``; the solve
+    Rejects inputs whose anti-Hermitian part exceeds ``HERM_TOL``; the solve
     itself runs on the symmetrized matrix.  Raises ``ArithmeticError`` on a
     non-finite entry (its residual is not finite) and
     ``numpy.linalg.LinAlgError`` if the solver fails to converge.
@@ -259,9 +265,9 @@ def hermitian_eigenvalues(
         anti -= m
         residual = float(np.abs(anti).max())
         del anti  # before any temporary of the split
-    if not math.isfinite(residual):  # NaN > tol is False: it would pass the check below
+    if not math.isfinite(residual):  # NaN > HERM_TOL is False: it would pass the check below
         raise ArithmeticError("matrix has a non-finite entry")
-    if residual > tol.herm:
+    if residual > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     # an exactly Hermitian m is bitwise its own Hermitian part
     h = m if residual == 0.0 else hermitian_part(m)
@@ -344,9 +350,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(ev)))
 
 
-def validate_density(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ValidationReport:
+def validate_density(m: np.ndarray) -> ValidationReport:
     """Check the density-matrix invariants; violations come back as data.
 
     Residuals: ``hermitian`` is the largest entry of ``m - m^dagger``,
@@ -356,13 +360,13 @@ def validate_density(
     m = _as_square(m, "density matrix candidate")
     violations: list[tuple[str, float]] = []
     herm_res = float(np.max(np.abs(m - m.conj().T)))
-    if herm_res > tol.herm:
+    if herm_res > HERM_TOL:
         violations.append(("hermitian", herm_res))
     trace_res = float(abs(np.trace(m) - 1.0))
-    if trace_res > tol.trace:
+    if trace_res > TRACE_TOL:
         violations.append(("trace", trace_res))
     min_eig = float(np.linalg.eigvalsh(hermitian_part(m))[0])
-    if min_eig < -tol.psd:
+    if min_eig < -PSD_TOL:
         violations.append(("psd", -min_eig))
     return ValidationReport(tuple(violations))
 

@@ -12,11 +12,17 @@ from typing import Sequence
 
 import numpy as np
 
-from decolab.analysis import MaxProfile, _batched_reduce, max_profile
+from decolab.analysis import MaxProfile, max_profile
 from decolab.channels import GATES, QuantumChannel
 from decolab.circuit import Circuit, Trajectory, format_complex, parse_circuit, run_noisy
 from decolab.config import HARD_MAX_QUBITS, ResourceLimitError
-from decolab.linalg import DensityMatrix, haar_unitary, permute_matrix, tensor
+from decolab.linalg import (
+    DensityMatrix,
+    batched_partial_trace,
+    haar_unitary,
+    permute_matrix,
+    tensor,
+)
 
 #: assembled channels refuse to materialize more Kraus terms than this
 KRAUS_TERM_CAP = 256
@@ -67,7 +73,7 @@ def full_enumeration_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
     stack = np.stack([s.mat for s in states])
     for size in range(1, qubits + 1):
         for keep in itertools.combinations(range(qubits), size):
-            red = _batched_reduce(stack, qubits, keep)
+            red = batched_partial_trace(stack, qubits, keep)
             ev = np.linalg.eigvalsh(red[iu] - red[ju])
             np.maximum(per_size[:, size], 0.5 * np.abs(ev).sum(axis=-1), out=per_size[:, size])
     return np.maximum.accumulate(per_size, axis=1)

@@ -132,6 +132,13 @@ class TestThreshold:
         info = theta_and_threshold(3, 0.7)
         assert info.threshold == pytest.approx(2 / 3, abs=1e-12) and info.above
 
+    @pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
+    def test_eta_outside_the_unit_interval(self, eta):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            theta_and_threshold(2, eta)
+        with pytest.raises(ValueError, match="eta must lie in"):
+            min_worthless_depth(2, eta, 1, 0.01)
+
 
 class TestMinWorthlessDepth:
     def test_eta_one_collapses_in_one_layer(self):

@@ -8,6 +8,7 @@ import pytest
 
 import decolab.analysis
 import decolab.circuit
+import decolab.cli
 from decolab.circuit import Trajectory, random_circuit, serialize_circuit
 from decolab.cli import main
 from decolab.linalg import DensityMatrix
@@ -325,6 +326,47 @@ class TestCheck:
     def test_contractivity_suite_small(self):
         assert main(["check", "--suite", "contractivity", "--trials", "20",
                      "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-5"], ["--qubits", "-1"]])
+    def test_bad_counts_exit_2_before_any_trial(self, flags, capsys):
+        assert main(["check", "--suite", "noise-action", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "must be >= " in captured.err and "PASS" not in captured.out
+
+    def test_qubits_above_the_enumeration_cap_exit_3(self, monkeypatch, capsys):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(decolab.cli, "random_density", no_trials)
+        assert main(["check", "--suite", "noise-action", "--qubits", "11"]) == 3
+        assert "resource cap" in capsys.readouterr().err
+
+
+#: every range check on a subcommand's flags: exit 2, and no table written
+USAGE_ERRORS = [
+    ["simulate", "--circuit", "BELL", "--eta", "1.5"],
+    ["simulate", "--circuit", "BELL", "--eta", "nan"],
+    ["simulate", "--circuit", "BELL", "--eta", "0.5", "--eps", "0"],
+    ["bound", "--k", "0", "--eta", "0.5"],
+    ["bound", "--k", "2", "--eta", "-0.1"],
+    ["bound", "--k", "2", "--eta", "0.5", "--depth", "-1"],
+    ["bound", "--k", "2", "--eta", "0.5", "--n", "-1"],
+    ["sweep", "--k", "2", "--eta", "1.5", "--n", "1"],
+    ["sweep", "--k", "2", "--eta", "0.8", "--n", "1", "--eps", "0"],
+    ["sweep", "--k", "0", "--eta", "0.8", "--n", "1"],
+    ["sweep", "--k", "2", "--eta", "0.8", "--n", "-1"],
+    ["sweep", "--k", "2", "--eta", "0.8", "--n", "1", "--jobs", "0"],
+    ["sweep", "--k", "", "--eta", "0.8", "--n", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_exit_code_table(argv, bell_path, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    argv = [bell_path if a == "BELL" else a for a in argv]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDeterminism:
