@@ -126,12 +126,18 @@ def channel_apply(t: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def channel_validate(t: QuantumChannel) -> ValidationReport:
-    """Check Kraus completeness ``sum K^dagger K = I`` within ``KRAUS_TOL``."""
+    """Check Kraus completeness ``sum K^dagger K = I`` within ``KRAUS_TOL``.
+
+    A non-finite Kraus entry raises ``ArithmeticError``: its residual is not
+    finite, and NaN would pass the comparison.
+    """
     dim_in = 2**t.in_qubits
     acc = np.zeros((dim_in, dim_in), dtype=np.complex128)
     for k in t.kraus:
         acc += k.conj().T @ k
     residual = float(np.max(np.abs(acc - np.eye(dim_in))))
+    if not math.isfinite(residual):
+        raise ArithmeticError(f"channel {t.label or '?'} has a non-finite Kraus entry")
     if residual > KRAUS_TOL:
         return ValidationReport((("completeness", residual),))
     return ValidationReport(())

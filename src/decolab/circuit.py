@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,6 +114,68 @@ def _check_partition(sets: Iterable[tuple[int, ...]], width: int, what: str) -> 
         raise CircuitError(f"{what} qubit(s) {missing} are not covered by any gate")
 
 
+#: largest side of a fused group of single-Kraus gates.  One row matmul
+#: over the whole matrix costs about the same for any small factor (width 9,
+#: one BLAS thread, x86_64: 0.53 ms for d = 2, 0.62 ms for d = 4, 0.72 ms
+#: for d = 8), so merging neighbouring gates into one Kronecker product saves
+#: whole passes; d = 16 took 1.04 ms and gained nothing measurable per layer
+_FUSE_MAX_SIDE = 8
+
+
+@dataclass(frozen=True, eq=False)
+class _LayerPlan:
+    """What :func:`apply_layer` needs of a layer, compiled once.
+
+    ``in_perm`` lists the input qubits in block order and ``out_perm`` is
+    the permutation back from the output block order.  ``supers`` holds each
+    multi-Kraus gate as ``(din, dout, blocks)``, where ``blocks`` lists per
+    output block ``(o, p)`` the nonzero entries ``(a, b, S[o, p, a, b])`` of
+    ``S = sum K (x) conj(K)``.  ``groups`` are the single-Kraus gates fused
+    into Kronecker products of side at most ``_FUSE_MAX_SIDE``.
+    """
+
+    in_perm: tuple[int, ...]
+    out_perm: tuple[int, ...]
+    supers: tuple[tuple[int, int, tuple], ...]
+    groups: tuple[np.ndarray, ...]
+    conj_groups: tuple[np.ndarray, ...]
+
+
+def _superoperator_blocks(kraus: Sequence[np.ndarray]) -> tuple:
+    dout, din = kraus[0].shape
+    s = sum(np.kron(k, k.conj()) for k in kraus).reshape(dout, dout, din, din)
+    return tuple(
+        (o, p, tuple((a, b, complex(s[o, p, a, b])) for a, b in np.argwhere(s[o, p]).tolist()))
+        for o in range(dout)
+        for p in range(dout)
+    )
+
+
+def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
+    gates = sorted(
+        layer.gates, key=lambda g: (len(g.channel.kraus) == 1, len(g.outputs) - len(g.inputs))
+    )
+    supers = tuple(
+        (2**g.channel.in_qubits, 2**g.channel.out_qubits, _superoperator_blocks(g.channel.kraus))
+        for g in gates
+        if len(g.channel.kraus) > 1
+    )
+    groups: list[np.ndarray] = []
+    for g in gates[len(supers) :]:
+        k = g.channel.kraus[0]
+        if groups and max(a * b for a, b in zip(groups[-1].shape, k.shape)) <= _FUSE_MAX_SIDE:
+            groups[-1] = np.kron(groups[-1], k)
+        else:
+            groups.append(k)
+    return _LayerPlan(
+        in_perm=tuple(q for g in gates for q in g.inputs),
+        out_perm=tuple(np.argsort([q for g in gates for q in g.outputs]).tolist()),
+        supers=supers,
+        groups=tuple(groups),
+        conj_groups=tuple(k.conj() for k in groups),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CircuitLayer:
     in_width: int
@@ -131,6 +194,11 @@ class CircuitLayer:
                 raise CircuitError(str(exc)) from None
         _check_partition((g.inputs for g in self.gates), self.in_width, "input")
         _check_partition((g.outputs for g in self.gates), self.out_width, "output")
+
+    @cached_property
+    def _plan(self) -> _LayerPlan:
+        # first use compiles; a frozen dataclass still has a __dict__ to cache in
+        return _compile_layer(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,47 +267,66 @@ def _row_side(mat: np.ndarray, ops: Sequence[np.ndarray], pre: int) -> np.ndarra
     return mat.reshape(pre, -1)
 
 
-def _both_sides(mat: np.ndarray, kraus: Sequence[np.ndarray], pre: int) -> np.ndarray:
-    """``sum K mat K^dagger``, each ``K`` on the factor after ``pre`` done output
-    dims; a function of its own so that no temporary outlives it."""
-    dout, din = kraus[0].shape
+def _superoperator_side(
+    mat: np.ndarray, blocks: tuple, pre: int, din: int, dout: int
+) -> np.ndarray:
+    """A channel on the factor after ``pre`` done dims of both rows and
+    columns, from its superoperator's nonzero entries: output block
+    ``(o, p)`` of the factor is the sum of input blocks ``(a, b)`` scaled by
+    ``S[o, p, a, b]``, a block copy or add where the entry is 1."""
     suf = mat.shape[0] // (pre * din)
-    rows = mat.reshape(pre, din, -1)
-    acc = None
-    for k in kraus:
-        term = np.matmul(k.conj(), np.matmul(k, rows).reshape(-1, din, suf))
-        acc = term if acc is None else np.add(acc, term, out=acc)
-    return acc.reshape(pre * dout * suf, -1)
+    src = mat.reshape(pre, din, suf, pre, din, suf)
+    buf = np.empty((pre * dout * suf,) * 2, dtype=np.complex128)
+    out = buf.reshape(pre, dout, suf, pre, dout, suf)
+    for o, p, terms in blocks:
+        block = out[:, o, :, :, p, :]
+        if not terms:
+            block[...] = 0.0
+        for i, (a, b, s) in enumerate(terms):
+            part = src[:, a, :, :, b, :] if s == 1.0 else s * src[:, a, :, :, b, :]
+            if i:
+                block += part
+            else:
+                block[...] = part
+    return buf
+
+
+def _layer_kernel(plan: _LayerPlan, mat: np.ndarray) -> np.ndarray:
+    """The layer's channel on a square matrix in block order, transposed.
+
+    The multi-Kraus gates come first in block order, each a
+    :func:`_superoperator_side`.  For the fused single-Kraus groups, ``A M``
+    is formed as row operations, transposed once, and ``conj(A)`` applied as
+    row operations: that is ``Y^T`` for ``Y = A M A^dagger``.
+    """
+    pre = 1
+    for din, dout, blocks in plan.supers:
+        mat = _superoperator_side(mat, blocks, pre, din, dout)
+        pre *= dout
+    mat = _row_side(mat, plan.groups, pre).T.copy()
+    return _row_side(mat, plan.conj_groups, pre)
 
 
 def apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
-    """One layer: permute into block order, apply the gates, permute back.
+    """One layer: permute into block order, run the layer's plan, permute back.
 
-    The layer is a tensor product on disjoint qubits, so gate order is free.
-    Multi-Kraus gates (``DEPHASE``, ``TRACEOUT``) come first in block order,
-    shrinking ones first of all, each Kraus operator a matmul on the rows and
-    then on the columns.  For the single-Kraus rest, ``A M`` is formed as row
-    operations, transposed once, and ``conj(A)`` applied as row operations:
-    that is ``Y^T`` for ``Y = A M A^dagger``, and since :func:`settle` of a
-    transpose is its conjugate, one in-place conjugation undoes it at the end.
+    The plan is compiled once per layer, at its first application (see
+    ``_compile_layer``).  The layer is a tensor product on disjoint qubits,
+    so gate order is free: multi-Kraus gates (``DEPHASE``, ``TRACEOUT``)
+    come first in block order, shrinking ones first of all, each applied as
+    block copies and adds over its superoperator's nonzero entries; the
+    single-Kraus rest runs as one row matmul per fused group, a transposed
+    copy and the conjugate groups (:func:`_layer_kernel`).  That leaves the
+    transpose of the result, and since :func:`settle` of a transpose is its
+    conjugate, one in-place conjugation undoes it at the end.
     """
     if rho.qubits != layer.in_width:
         raise CircuitError(
             f"layer expects {layer.in_width} qubits, state has {rho.qubits}"
         )
-    gates = sorted(
-        layer.gates, key=lambda g: (len(g.channel.kraus) == 1, len(g.outputs) - len(g.inputs))
-    )
-    mat = permute_matrix(rho.mat, [q for g in gates for q in g.inputs])
-    pre = 1
-    n_multi = sum(len(g.channel.kraus) > 1 for g in gates)
-    for g in gates[:n_multi]:
-        mat = _both_sides(mat, g.channel.kraus, pre)
-        pre *= 2**g.channel.out_qubits
-    ops = [g.channel.kraus[0] for g in gates[n_multi:]]
-    mat = _row_side(mat, ops, pre).T.copy()
-    mat = _row_side(mat, [k.conj() for k in ops], pre)
-    mat = settle(permute_matrix(mat, np.argsort([q for g in gates for q in g.outputs])))
+    plan = layer._plan
+    mat = _layer_kernel(plan, permute_matrix(rho.mat, plan.in_perm))
+    mat = settle(permute_matrix(mat, plan.out_perm))
     np.conjugate(mat, out=mat)
     return DensityMatrix._adopt(layer.out_width, mat)
 

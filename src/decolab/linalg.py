@@ -355,11 +355,14 @@ def validate_density(m: np.ndarray) -> ValidationReport:
 
     Residuals: ``hermitian`` is the largest entry of ``m - m^dagger``,
     ``trace`` is ``|tr(m) - 1|``, ``psd`` is how far the lowest eigenvalue
-    dips below zero.
+    dips below zero.  A non-finite entry raises ``ArithmeticError``: its
+    residual is not finite, and NaN would pass every comparison below.
     """
     m = _as_square(m, "density matrix candidate")
     violations: list[tuple[str, float]] = []
     herm_res = float(np.max(np.abs(m - m.conj().T)))
+    if not math.isfinite(herm_res):
+        raise ArithmeticError("density matrix candidate has a non-finite entry")
     if herm_res > HERM_TOL:
         violations.append(("hermitian", herm_res))
     trace_res = float(abs(np.trace(m) - 1.0))

@@ -192,6 +192,13 @@ class TestChannelValidate:
         report = channel_validate(broken)
         assert report.residual("completeness") == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_entry_raises(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            channel_validate(QuantumChannel(1, 1, (k,), label="BAD"))
+
     def test_every_library_gate_is_valid(self):
         assert sorted(GATES) == sorted(LIBRARY_NAMES)
         for name in LIBRARY_NAMES:

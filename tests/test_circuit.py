@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decolab.circuit
 from decolab.channels import (
     GATES,
     channel_apply,
@@ -138,10 +139,12 @@ def kraus_block_run_noisy(circuit: Circuit, eta: float, rho0: DensityMatrix) -> 
     return levels
 
 
-def random_mixed_layer(rng: np.random.Generator, in_width: int) -> CircuitLayer:
+def random_mixed_layer(
+    rng: np.random.Generator, in_width: int, max_out: int = 5
+) -> CircuitLayer:
     """Seeded layer of fan-in <= 2 mixing unitaries, DEPHASE, TRACEOUT, random
     two-term channels and preparations; its output width follows from the
-    gates drawn."""
+    gates drawn, preparations filling it up to at most ``max_out``."""
     remaining = [int(q) for q in rng.permutation(in_width)]
     wired = []
     while remaining:
@@ -157,12 +160,32 @@ def random_mixed_layer(rng: np.random.Generator, in_width: int) -> CircuitLayer:
             channel = GATES[kind]
         wired.append((channel, block))
     kept = sum(c.out_qubits for c, _ in wired)
-    for _ in range(int(rng.integers(0, 5 - kept + 1))):
+    for _ in range(int(rng.integers(0, max(max_out - kept, 0) + 1))):
         wired.append((GATES[str(rng.choice(["PREP0", "PREP1", "PREP_PLUS"]))], ()))
     out_width = sum(c.out_qubits for c, _ in wired)
     slots = [int(q) for q in rng.permutation(out_width)]
     gates = []
     for channel, block in (wired[i] for i in rng.permutation(len(wired))):
+        outs, slots = tuple(sorted(slots[: channel.out_qubits])), slots[channel.out_qubits :]
+        gates.append(PlacedGate(channel, block, outs))
+    return CircuitLayer(in_width, out_width, tuple(gates))
+
+
+def layer_with_channels(
+    rng: np.random.Generator, in_width: int, channels: list
+) -> CircuitLayer:
+    """``channels`` on random input qubits, a random unitary on every qubit
+    left over, and the outputs on random slots."""
+    free = [int(q) for q in rng.permutation(in_width)]
+    wired = []
+    for channel in channels:
+        wired.append((channel, tuple(sorted(free[: channel.in_qubits]))))
+        free = free[channel.in_qubits :]
+    wired += [(channel_from_unitary(haar_unitary(1, rng)), (q,)) for q in free]
+    out_width = sum(c.out_qubits for c, _ in wired)
+    slots = [int(q) for q in rng.permutation(out_width)]
+    gates = []
+    for channel, block in wired:
         outs, slots = tuple(sorted(slots[: channel.out_qubits])), slots[channel.out_qubits :]
         gates.append(PlacedGate(channel, block, outs))
     return CircuitLayer(in_width, out_width, tuple(gates))
@@ -517,6 +540,91 @@ class TestLayerApplication:
         assert [s.qubits for s in fast] == list(circ.widths)
         for a, b in zip(fast, slow):
             assert np.max(np.abs(a.mat - b.mat)) < 1e-12
+
+    @pytest.mark.parametrize("width", [6, 7, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_mixed_layers_match_kraus_block_path(self, width, seed):
+        rng = np.random.default_rng(100 * width + seed)
+        layer = random_mixed_layer(rng, width, max_out=width + 1)
+        rho = random_density(width, rng)
+        fast = apply_layer(layer, rho)
+        slow = kraus_block_apply_layer(layer, rho)
+        assert fast.qubits == slow.qubits == layer.out_width
+        assert np.max(np.abs(fast.mat - slow.mat)) < 1e-12
+
+    def test_fused_groups_cross_the_cap_and_take_preparations(self, rng):
+        def unitary(qubits):
+            return channel_from_unitary(haar_unitary(qubits, rng))
+
+        gates = (
+            PlacedGate(unitary(2), (1, 2), (1, 2)),
+            PlacedGate(unitary(2), (4, 6), (4, 6)),
+            PlacedGate(unitary(1), (0,), (0,)),
+            PlacedGate(unitary(1), (3,), (3,)),
+            PlacedGate(GATES["DEPHASE"], (5,), (5,)),
+            PlacedGate(GATES["PREP_PLUS"], (), (7,)),
+            PlacedGate(GATES["PREP0"], (), (8,)),
+        )
+        layer = CircuitLayer(7, 9, gates)
+        rho = random_density(7, rng)
+        fast = apply_layer(layer, rho)
+        # two 4 x 4 unitaries exceed the cap; a 4 x 4 and a 2 x 2 reach it,
+        # and a 2 x 2 takes both preparations
+        assert [k.shape for k in layer._plan.groups] == [(4, 4), (8, 8), (8, 2)]
+        assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shapes", [[(1, 2)], [(2, 1)], [(0, 1)], [(1, 2), (2, 1)], [(0, 1), (1, 2)], [(2, 1), (0, 1)]]
+    )
+    @pytest.mark.parametrize("terms", [2, 3, 4])
+    def test_non_square_multi_kraus_channels(self, shapes, terms):
+        # with two channels the second one in block order sits after pre > 1 rows
+        rng = np.random.default_rng(10 * terms + len(shapes))
+        channels = [random_channel(i, o, terms, rng) for i, o in shapes]
+        layer = layer_with_channels(rng, 4, channels)
+        rho = random_density(4, rng)
+        fast = apply_layer(layer, rho)
+        assert fast.qubits == layer.out_width
+        assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
+
+    def test_width_nine_layer_with_dephase_and_traceout(self, rng):
+        def unitary(qubits):
+            return channel_from_unitary(haar_unitary(qubits, rng))
+
+        gates = (
+            PlacedGate(GATES["DEPHASE"], (0,), (0,)),
+            PlacedGate(unitary(2), (1, 2), (1, 2)),
+            PlacedGate(unitary(1), (3,), (3,)),
+            PlacedGate(GATES["TRACEOUT"], (4,), ()),
+            PlacedGate(GATES["PREP0"], (), (4,)),
+            PlacedGate(unitary(2), (5, 7), (5, 7)),
+            PlacedGate(unitary(1), (6,), (6,)),
+            PlacedGate(GATES["DEPHASE"], (8,), (8,)),
+        )
+        layer = CircuitLayer(9, 9, gates)
+        rho = random_density(9, rng)
+        fast = apply_layer(layer, rho)
+        slow = kraus_block_apply_layer(layer, rho)
+        assert np.max(np.abs(fast.mat - slow.mat)) < 1e-12
+
+    def test_plan_is_built_once_and_reruns_are_bitwise_equal(self, monkeypatch, rng):
+        built = []
+        compile_layer = decolab.circuit._compile_layer
+
+        def counting(layer):
+            built.append(layer)
+            return compile_layer(layer)
+
+        monkeypatch.setattr(decolab.circuit, "_compile_layer", counting)
+        circ = random_mixed_circuit(11, 5, depth=4)
+        rho = random_density(5, rng)
+        first = run_noisy(circ, 0.3, rho).levels
+        second = run_noisy(circ, 0.3, rho).levels
+        assert len(first) == len(second) == circ.depth + 1
+        for a, b in zip(first, second):
+            assert np.array_equal(a.mat, b.mat)
+        assert len(built) == circ.depth
+        assert all(a is b for a, b in zip(built, circ.layers))
 
     def test_width_changing_layer(self, rng):
         # trace out qubit 0, keep qubit 1, append a fresh |+>

@@ -9,6 +9,7 @@ import pytest
 import decolab.analysis
 import decolab.circuit
 import decolab.cli
+from decolab.channels import QuantumChannel
 from decolab.circuit import Trajectory, random_circuit, serialize_circuit
 from decolab.cli import main
 from decolab.linalg import DensityMatrix
@@ -316,6 +317,15 @@ class TestCheck:
     def test_kraus_suite(self, capsys):
         assert main(["check", "--suite", "kraus"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_kraus_suite_exits_4_on_a_nan_gate(self, monkeypatch, capsys):
+        kraus = np.eye(2, dtype=complex)
+        kraus[1, 0] = np.nan
+        nan_gate = QuantumChannel(1, 1, (kraus,), label="NAN")
+        monkeypatch.setitem(decolab.cli.GATES, "NAN", nan_gate)
+        assert main(["check", "--suite", "kraus"]) == 4
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "PASS" not in captured.out
 
     def test_noise_action_suite_small(self, capsys):
         assert main(["check", "--suite", "noise-action", "--qubits", "2",

@@ -380,6 +380,14 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="square"):
             validate_density(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_entry_raises(self, bad, where):
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[where] = bad
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            validate_density(m)
+
 
 class TestDensityMatrix:
     def test_dimension_must_be_power_of_two(self):
