@@ -13,9 +13,7 @@ from .analysis import (
     ThresholdInfo,
     analytic_bound,
     check_noise_action,
-    distance_profile,
     distance_report,
-    empirical_d,
     f_series,
     make_probes,
     min_worthless_depth,
@@ -27,7 +25,6 @@ from .analysis import (
 from .channels import (
     GATES,
     QuantumChannel,
-    channel_apply,
     channel_from_unitary,
     channel_validate,
     depolarize_all,
@@ -44,7 +41,6 @@ from .circuit import (
     parse_circuit,
     parse_circuit_file,
     random_circuit,
-    run_ideal,
     run_noisy,
     serialize_circuit,
 )
@@ -81,15 +77,12 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "analytic_bound",
-    "channel_apply",
     "channel_from_unitary",
     "channel_validate",
     "check_noise_action",
     "depolarize_all",
     "depolarize_qubit",
-    "distance_profile",
     "distance_report",
-    "empirical_d",
     "f_series",
     "hermitian_eigenvalues",
     "limit_blas_threads",
@@ -103,7 +96,6 @@ __all__ = [
     "practically_worthless",
     "prep_channel",
     "random_circuit",
-    "run_ideal",
     "run_noisy",
     "serialize_circuit",
     "tensor",

@@ -37,9 +37,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import linalg
 from .channels import depolarize_all
 from .circuit import Circuit, run_noisy
-from .config import BLAS_THREADS, BLAS_THREADS_ENV, ENUMERATION_CAP, ResourceLimitError
+from .config import BLAS_THREADS_ENV, ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
     batched_partial_trace,
@@ -59,18 +60,14 @@ __all__ = [
     "ThresholdInfo",
     "analytic_bound",
     "check_noise_action",
-    "distance_profile",
     "distance_report",
-    "empirical_d",
     "f_series",
-    "gate_only_step_bound",
     "make_probes",
     "max_profile",
     "min_worthless_depth",
     "noise_rounds_at_level",
     "pairwise_profiles",
     "practically_worthless",
-    "recursion_step_bound",
     "require_enumerable",
     "theta_and_threshold",
     "worthless",
@@ -170,30 +167,6 @@ def min_worthless_depth(
         if t > max_depth:
             return NEVER_WITHIN_CAP
     return t
-
-
-def recursion_step_bound(
-    prev_profile: Sequence[float], k: int, eta: float, n: int
-) -> float:
-    """One noisy step: mix the previous level's profile binomially.
-
-    Evaluates ``sum_m C(kn, m) eta^(kn-m) (1-eta)^m d_m`` where ``d_m`` is the
-    previous level's distance profile, saturated at full register size.
-    """
-    last = len(prev_profile) - 1
-    kn = k * n
-    total = 0.0
-    for m in range(kn + 1):
-        w = math.comb(kn, m) * eta ** (kn - m) * (1.0 - eta) ** m
-        if w:
-            total += w * prev_profile[min(m, last)]
-    return total
-
-
-def gate_only_step_bound(prev_profile: Sequence[float], k: int, n: int) -> float:
-    """One noiseless step: ``n`` output qubits depend on at most ``kn`` inputs."""
-    last = len(prev_profile) - 1
-    return prev_profile[min(k * n, last)]
 
 
 def noise_rounds_at_level(level: int, depth: int, extra_noise_round: bool = False) -> int:
@@ -462,26 +435,6 @@ def max_profile(states: Sequence[DensityMatrix]) -> MaxProfile:
     return MaxProfile(profile, eigensolves, factored, norm_pruned)
 
 
-def distance_profile(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    """Profile ``p[n] = max over subsets of size <= n`` for one pair of states."""
-    if rho.qubits != sigma.qubits:
-        raise ValueError(f"qubit count mismatch: {rho.qubits} vs {sigma.qubits}")
-    return pairwise_profiles([rho, sigma])[0]
-
-
-def empirical_d(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
-    """Exact ``max_{|A| <= n} D(rho|_A, sigma|_A)`` over every qubit subset.
-
-    The enumeration is pruned as in :func:`pairwise_profiles` and equals full
-    enumeration within 1e-12.  The empty subset contributes 0 and the maximum
-    saturates once ``n`` reaches the register size.
-    """
-    if n < 0:
-        raise ValueError(f"subset size must be >= 0, got {n}")
-    profile = distance_profile(rho, sigma)
-    return float(profile[min(n, rho.qubits)])
-
-
 # ---------------------------------------------------------------------------
 # the noise-action identity
 # ---------------------------------------------------------------------------
@@ -569,15 +522,13 @@ def default_probes(qubits: int, seed: int = 0) -> list[DensityMatrix]:
 
 
 def _final_states(
-    circuit: Circuit,
-    eta: float,
-    probes: Sequence[DensityMatrix],
-    extra_noise_round: bool = False,
+    circuit: Circuit, eta: float, probes: Sequence[DensityMatrix] | None, seed: int
 ) -> list[DensityMatrix]:
-    return [
-        run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round).levels[-1]
-        for p in probes
-    ]
+    """Each probe's final state, keeping no other level of its run; the
+    probes default to :func:`default_probes` of the input width."""
+    if probes is None:
+        probes = default_probes(circuit.in_width, seed)
+    return [run_noisy(circuit, eta, p).levels[-1] for p in probes]
 
 
 def _largest(distances: Iterable[float]) -> float:
@@ -606,9 +557,7 @@ def practically_worthless(
     computes something; a distance within ``eps`` certifies collapse only on
     the probe set (no maximization over all input states is attempted).
     """
-    if probes is None:
-        probes = default_probes(circuit.in_width, seed)
-    finals = _final_states(circuit, eta, probes)
+    finals = _final_states(circuit, eta, probes, seed)
     worst = _largest(trace_distance(a, b) for a, b in itertools.combinations(finals, 2))
     return worst <= eps, worst
 
@@ -625,9 +574,7 @@ def worthless(
     Same probe semantics as :func:`practically_worthless`; by the triangle
     inequality this implies the pairwise notion at twice the tolerance.
     """
-    if probes is None:
-        probes = default_probes(circuit.in_width, seed)
-    finals = _final_states(circuit, eta, probes)
+    finals = _final_states(circuit, eta, probes, seed)
     worst = 0.0
     if finals:  # one maximally mixed state serves every output: they share a width
         mixed = DensityMatrix.maximally_mixed(finals[0].qubits)
@@ -642,10 +589,11 @@ def worthless(
 
 def _report_workers() -> int:
     """Threads for a report's levels: the usable CPUs over the BLAS threads
-    each eigensolve may start (every CPU when the environment names no
-    positive count), at least 1."""
+    each eigensolve may start, at least 1.  Those are the environment's count
+    when it names one (every CPU when it names no positive count), else the
+    count :func:`limit_blas_threads` last set."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blas = BLAS_THREADS
+    blas = linalg._blas_threads
     if any(name in os.environ for name in BLAS_THREADS_ENV):
         named = [os.environ.get(name, "").strip() for name in BLAS_THREADS_ENV]
         blas = next((int(n) for n in named if n.isdigit() and int(n) > 0), cpus)
@@ -706,7 +654,7 @@ def distance_report(
         run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round) for p in probes
     ]
     depth = circuit.depth
-    series = f_series(circuit.k, eta, max(noise_rounds_at_level(depth, depth, extra_noise_round), 0))
+    series = f_series(circuit.k, eta, noise_rounds_at_level(depth, depth, extra_noise_round))
     levels = [[t.levels[level] for t in trajectories] for level in range(depth + 1)]
     workers = _report_workers()
     # levels are independent once the trajectories exist, and LAPACK drops

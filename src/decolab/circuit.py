@@ -59,7 +59,6 @@ __all__ = [
     "parse_circuit",
     "parse_circuit_file",
     "random_circuit",
-    "run_ideal",
     "run_noisy",
     "serialize_circuit",
 ]
@@ -331,25 +330,14 @@ def apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix._adopt(layer.out_width, mat)
 
 
-def run_ideal(circuit: Circuit, rho0: DensityMatrix) -> Trajectory:
-    """Noiseless execution; records the state after every layer."""
-    if rho0.qubits != circuit.in_width:
-        raise CircuitError(
-            f"circuit expects {circuit.in_width} input qubits, got {rho0.qubits}"
-        )
-    levels = [rho0]
-    for layer in circuit.layers:
-        levels.append(apply_layer(layer, levels[-1]))
-    return Trajectory(tuple(levels), eta=0.0)
-
-
 def run_noisy(
     circuit: Circuit,
     eta: float,
     rho0: DensityMatrix,
     extra_noise_round: bool = False,
 ) -> Trajectory:
-    """Execution with a depolarization round between consecutive layers.
+    """Execution with a depolarization round between consecutive layers;
+    ``eta = 0`` is the noiseless run.
 
     The first layer sees the input unperturbed and no noise follows the last
     layer; ``extra_noise_round`` adds one round before the first layer and

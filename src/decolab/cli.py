@@ -18,13 +18,8 @@ import sys
 import numpy as np
 
 from . import analysis
-from .channels import (
-    GATES,
-    channel_apply,
-    channel_validate,
-    random_channel,
-)
-from .circuit import CircuitError, parse_circuit_file
+from .channels import GATES, channel_validate, random_channel
+from .circuit import CircuitError, CircuitLayer, PlacedGate, apply_layer, parse_circuit_file
 from .config import ResourceLimitError
 from .linalg import random_density, trace_distance
 
@@ -198,9 +193,11 @@ def _check_contractivity(trials: int, seed: int) -> float:
     for _ in range(trials):
         qubits = int(rng.integers(1, 3))
         channel = random_channel(qubits, qubits, int(rng.integers(1, 5)), rng)
+        wires = tuple(range(qubits))
+        layer = CircuitLayer(qubits, qubits, (PlacedGate(channel, wires, wires),))
         rho, sigma = random_density(qubits, rng), random_density(qubits, rng)
         before = trace_distance(rho, sigma)
-        after = trace_distance(channel_apply(channel, rho), channel_apply(channel, sigma))
+        after = trace_distance(apply_layer(layer, rho), apply_layer(layer, sigma))
         worst = max(worst, after - before)
     return worst
 

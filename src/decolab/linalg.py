@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import (
+    BLAS_THREADS,
     HARD_MAX_QUBITS,
     HERM_TOL,
     PSD_TOL,
@@ -360,7 +361,8 @@ def validate_density(m: np.ndarray) -> ValidationReport:
     """
     m = _as_square(m, "density matrix candidate")
     violations: list[tuple[str, float]] = []
-    herm_res = float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(invalid="ignore"):  # a non-finite residual raises below
+        herm_res = float(np.max(np.abs(m - m.conj().T)))
     if not math.isfinite(herm_res):
         raise ArithmeticError("density matrix candidate has a non-finite entry")
     if herm_res > HERM_TOL:
@@ -413,15 +415,23 @@ def random_density(qubits: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(qubits, rho / np.trace(rho).real)
 
 
+#: the count :func:`limit_blas_threads` last set, which a distance report
+#: divides the usable CPUs by when the environment names none
+_blas_threads = BLAS_THREADS
+
+
 def limit_blas_threads(threads: int) -> int:
-    """Set every OpenBLAS in this process to ``threads`` threads; return how
-    many were found (0 for another BLAS, or without ``/proc/self/maps``).
+    """Set every OpenBLAS in this process to ``threads`` threads and record
+    that count; return how many libraries were found (0 for another BLAS, or
+    without ``/proc/self/maps``).
 
     The products here are small gates against long rows, and spin-waiting
     BLAS threads halve throughput whenever another process holds a core.
     """
+    global _blas_threads
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _blas_threads = threads
     names = [f"{p}openblas_set_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_")]
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:

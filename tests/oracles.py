@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use: explicit matrices the
-library's strided kernels are checked against, assembled channels and the
-Pauli-form depolarizer its kernels and affine noise round are checked
-against, the full subset enumeration its pruned one is checked against, the
-serial level loop its threaded report is checked against, circuits of the
-benchmark's gate mix with the dense worthlessness verdicts the split
-eigensolves are checked against, and a trajectory writer."""
+library's strided kernels are checked against, assembled channels, the
+Kraus-sum channel application and the Pauli-form depolarizer its kernels and
+affine noise round are checked against, the full subset enumeration its
+pruned one is checked against, the serial level loop its threaded report is
+checked against, circuits of the benchmark's gate mix with the dense
+worthlessness verdicts the split eigensolves are checked against, the
+one-step recursion bounds the profiles are checked against, and a
+trajectory writer."""
 
 import itertools
 import math
@@ -21,6 +23,7 @@ from decolab.linalg import (
     batched_partial_trace,
     haar_unitary,
     permute_matrix,
+    settle,
     tensor,
 )
 
@@ -158,6 +161,20 @@ def identity_channel(qubits: int) -> QuantumChannel:
     )
 
 
+def channel_apply(t: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Apply the channel to a whole register (``rho.qubits == t.in_qubits``)
+    as the explicit Kraus sum ``sum K rho K^dagger``."""
+    if rho.qubits != t.in_qubits:
+        raise ValueError(
+            f"channel expects {t.in_qubits} qubits, state has {rho.qubits}"
+        )
+    dim_out = 2**t.out_qubits
+    out = np.zeros((dim_out, dim_out), dtype=np.complex128)
+    for k in t.kraus:
+        out += k @ rho.mat @ k.conj().T
+    return DensityMatrix(t.out_qubits, settle(out))
+
+
 def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumChannel:
     """Combine channels acting on disjoint registers into one channel.
 
@@ -194,6 +211,30 @@ def depolarizing_kraus_channel(eta: float) -> QuantumChannel:
         1, 1, (math.sqrt(1.0 - 3.0 * eta / 4.0) * i, weak * x, weak * y, weak * z),
         label=f"DEPOL({eta})",
     )
+
+
+def recursion_step_bound(
+    prev_profile: Sequence[float], k: int, eta: float, n: int
+) -> float:
+    """One noisy step: mix the previous level's profile binomially.
+
+    Evaluates ``sum_m C(kn, m) eta^(kn-m) (1-eta)^m d_m`` where ``d_m`` is the
+    previous level's distance profile, saturated at full register size.
+    """
+    last = len(prev_profile) - 1
+    kn = k * n
+    total = 0.0
+    for m in range(kn + 1):
+        w = math.comb(kn, m) * eta ** (kn - m) * (1.0 - eta) ** m
+        if w:
+            total += w * prev_profile[min(m, last)]
+    return total
+
+
+def gate_only_step_bound(prev_profile: Sequence[float], k: int, n: int) -> float:
+    """One noiseless step: ``n`` output qubits depend on at most ``kn`` inputs."""
+    last = len(prev_profile) - 1
+    return prev_profile[min(k * n, last)]
 
 
 def export_trajectory(traj: Trajectory, csv_path: str, states_path: str | None = None) -> None:

@@ -33,10 +33,11 @@ from decolab.analysis import (
     theta_and_threshold,
     worthless,
 )
-from decolab.channels import channel_apply, random_channel
+from decolab.channels import random_channel
 from decolab.circuit import parse_circuit, random_circuit, run_noisy, serialize_circuit
 from decolab.cli import main
 from decolab.linalg import DensityMatrix, random_density, trace_distance
+from oracles import channel_apply
 
 TOL_NOISE_ACTION = 1e-10
 TOL_CONTRACT = 1e-9

@@ -15,18 +15,14 @@ from decolab.analysis import (
     NEVER_WITHIN_CAP,
     analytic_bound,
     check_noise_action,
-    distance_profile,
     distance_report,
-    empirical_d,
     f_series,
-    gate_only_step_bound,
     make_probes,
     max_profile,
     min_worthless_depth,
     noise_rounds_at_level,
     pairwise_profiles,
     practically_worthless,
-    recursion_step_bound,
     theta_and_threshold,
     worthless,
 )
@@ -41,10 +37,23 @@ from decolab.circuit import (
     run_noisy,
 )
 from decolab.config import ResourceLimitError
-from decolab.linalg import DensityMatrix, random_density, random_pure_state, trace_distance
+from decolab.linalg import (
+    DensityMatrix,
+    limit_blas_threads,
+    random_density,
+    random_pure_state,
+    trace_distance,
+)
 
 import decolab.analysis
-from oracles import dense_verdicts, full_enumeration_profiles, mixed_circuit, serial_level_profiles
+from oracles import (
+    dense_verdicts,
+    full_enumeration_profiles,
+    gate_only_step_bound,
+    mixed_circuit,
+    recursion_step_bound,
+    serial_level_profiles,
+)
 
 
 def wire_circuit(depth: int) -> Circuit:
@@ -183,22 +192,27 @@ class TestMinWorthlessDepth:
             min_worthless_depth(2, 0.8, 1, 0.0)
 
 
+def _pair_d(a: DensityMatrix, b: DensityMatrix, n: int) -> float:
+    """``max_{|A| <= n} D(a|_A, b|_A)``: the pair's profile at ``min(n, qubits)``."""
+    return float(pairwise_profiles([a, b])[0][min(n, a.qubits)])
+
+
 class TestEmpiricalD:
     def test_size_zero_is_exactly_zero(self, rng):
         a, b = random_density(2, rng), random_density(2, rng)
-        assert empirical_d(a, b, 0) == 0.0
+        assert _pair_d(a, b, 0) == 0.0
 
     def test_orthogonal_single_qubit(self):
         a, b = DensityMatrix.basis_state(1, 0), DensityMatrix.basis_state(1, 1)
-        assert empirical_d(a, b, 1) == pytest.approx(1.0, abs=1e-12)
+        assert _pair_d(a, b, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_and_saturates_at_full_distance(self, rng):
         for _ in range(10):
             a, b = random_density(3, rng), random_density(3, rng)
-            profile = distance_profile(a, b)
+            profile = pairwise_profiles([a, b])[0]
             assert all(x <= y + 1e-12 for x, y in zip(profile, profile[1:]))
             assert profile[3] == pytest.approx(trace_distance(a, b), abs=1e-10)
-            assert empirical_d(a, b, 99) == pytest.approx(profile[3], abs=1e-15)
+            assert _pair_d(a, b, 99) == pytest.approx(profile[3], abs=1e-15)
 
     def test_matches_bruteforce_enumeration(self, rng):
         from decolab.linalg import partial_trace
@@ -213,11 +227,11 @@ class TestEmpiricalD:
                             best,
                             trace_distance(partial_trace(a, keep), partial_trace(b, keep)),
                         )
-            assert empirical_d(a, b, n) == pytest.approx(best, abs=1e-12)
+            assert _pair_d(a, b, n) == pytest.approx(best, abs=1e-12)
 
     def test_qubit_mismatch(self, rng):
         with pytest.raises(ValueError):
-            empirical_d(random_density(1, rng), random_density(2, rng), 1)
+            _pair_d(random_density(1, rng), random_density(2, rng), 1)
 
     def test_enumeration_cap(self, monkeypatch):
         import decolab.analysis as analysis_mod
@@ -225,7 +239,7 @@ class TestEmpiricalD:
         monkeypatch.setattr(analysis_mod, "ENUMERATION_CAP", 2)
         a = DensityMatrix.maximally_mixed(3)
         with pytest.raises(ResourceLimitError):
-            empirical_d(a, a, 1)
+            _pair_d(a, a, 1)
 
 
 class TestPairwiseProfiles:
@@ -233,7 +247,7 @@ class TestPairwiseProfiles:
         states = [random_density(2, rng) for _ in range(5)]
         stacked = pairwise_profiles(states)
         for row, (i, j) in zip(stacked, itertools.combinations(range(5), 2)):
-            single = distance_profile(states[i], states[j])
+            single = pairwise_profiles([states[i], states[j]])[0]
             assert np.max(np.abs(row - single)) < 1e-12
 
     def test_single_state_has_no_pairs(self, rng):
@@ -587,6 +601,16 @@ class TestLevelPool:
             monkeypatch.setenv(name, value)
         assert decolab.analysis._report_workers() == workers
 
+    def test_workers_share_the_cpus_with_limited_blas_threads(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        circuit, probes = random_circuit(2, 3, 3, seed=3), make_probes("random:3", 3, seed=4)
+        try:
+            limit_blas_threads(2)
+            assert distance_report(circuit, 0.4, probes).workers == 1
+        finally:
+            limit_blas_threads(1)
+        assert distance_report(circuit, 0.4, probes).workers == 2
+
 
 class TestNoiseAction:
     def test_eta_zero_residual_is_exactly_zero(self, rng):
@@ -782,7 +806,7 @@ class TestRecursionSteps:
         ta = run_noisy(c, eta, DensityMatrix.basis_state(3, 0))
         tb = run_noisy(c, eta, DensityMatrix.basis_state(3, 5))
         profiles = [
-            distance_profile(a, b) for a, b in zip(ta.levels, tb.levels)
+            pairwise_profiles([a, b])[0] for a, b in zip(ta.levels, tb.levels)
         ]
         for i in range(c.depth):
             for n in range(4):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from decolab.channels import (
     GATES,
     QuantumChannel,
-    channel_apply,
     channel_from_unitary,
     channel_validate,
     depolarize_all,
@@ -23,7 +24,7 @@ from decolab.linalg import (
     validate_density,
 )
 
-from oracles import channel_tensor, depolarizing_kraus_channel, identity_channel
+from oracles import channel_apply, channel_tensor, depolarizing_kraus_channel, identity_channel
 
 LIBRARY_NAMES = [
     "I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP", "TOFFOLI",
@@ -196,8 +197,10 @@ class TestChannelValidate:
     def test_non_finite_kraus_entry_raises(self, bad):
         k = np.eye(2, dtype=complex)
         k[0, 1] = bad
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            channel_validate(QuantumChannel(1, 1, (k,), label="BAD"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # and no numpy warning first
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                channel_validate(QuantumChannel(1, 1, (k,), label="BAD"))
 
     def test_every_library_gate_is_valid(self):
         assert sorted(GATES) == sorted(LIBRARY_NAMES)

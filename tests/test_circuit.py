@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import decolab.circuit
 from decolab.channels import (
     GATES,
-    channel_apply,
     channel_from_unitary,
     channel_validate,
     depolarize_all,
@@ -25,7 +24,6 @@ from decolab.circuit import (
     format_complex,
     parse_circuit,
     random_circuit,
-    run_ideal,
     run_noisy,
     serialize_circuit,
 )
@@ -38,6 +36,7 @@ from decolab.linalg import (
     validate_density,
 )
 from oracles import (
+    channel_apply,
     channel_tensor,
     depolarizing_kraus_channel,
     export_trajectory,
@@ -263,7 +262,7 @@ class TestParser:
             "unitary 0+0i 1+0i 1+0i 0+0i [0] -> [0]\n"
         )
         c = parse_circuit(text)
-        out = run_ideal(c, DensityMatrix.basis_state(1, 0)).levels[-1]
+        out = run_noisy(c, 0.0, DensityMatrix.basis_state(1, 0)).levels[-1]
         assert np.allclose(out.mat, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_unitary_entry_count_checked(self):
@@ -416,31 +415,34 @@ class TestSerialization:
 class TestRunIdeal:
     def test_empty_circuit(self, rng):
         rho = random_density(2, rng)
-        traj = run_ideal(Circuit(k=2, in_width=2, layers=()), rho)
+        traj = run_noisy(Circuit(k=2, in_width=2, layers=()), 0.0, rho)
         assert len(traj.levels) == 1 and traj.levels[0] is rho
 
     def test_double_hadamard_is_identity(self):
         c = parse_circuit("k 1\nwidth 1\nlayer\ngate H [0] -> [0]\nlayer\ngate H [0] -> [0]\n")
-        out = run_ideal(c, DensityMatrix.basis_state(1, 0)).levels[-1]
+        out = run_noisy(c, 0.0, DensityMatrix.basis_state(1, 0)).levels[-1]
         assert np.max(np.abs(out.mat - np.diag([1.0, 0.0]))) < 1e-12
 
     def test_bell_preparation(self):
-        out = run_ideal(parse_circuit(BELL_TEXT), DensityMatrix.basis_state(2, 0)).levels[-1]
+        out = run_noisy(parse_circuit(BELL_TEXT), 0.0, DensityMatrix.basis_state(2, 0)).levels[-1]
         expected = DensityMatrix.pure([1, 0, 0, 1]).mat
         assert np.max(np.abs(out.mat - expected)) < 1e-12
 
     def test_width_mismatch(self, rng):
         with pytest.raises(CircuitError, match="input"):
-            run_ideal(parse_circuit(BELL_TEXT), random_density(1, rng))
+            run_noisy(parse_circuit(BELL_TEXT), 0.0, random_density(1, rng))
 
 
 class TestRunNoisy:
     def test_eta_zero_matches_ideal(self, rng):
         c = random_circuit(2, 3, 4, seed=11)
         rho = random_density(3, rng)
-        ideal = run_ideal(c, rho)
+        ideal = [rho]
+        for layer in c.layers:
+            ideal.append(apply_layer(layer, ideal[-1]))
         noisy = run_noisy(c, 0.0, rho)
-        for a, b in zip(ideal.levels, noisy.levels):
+        assert len(noisy.levels) == len(ideal)
+        for a, b in zip(ideal, noisy.levels):
             assert np.max(np.abs(a.mat - b.mat)) < 1e-12
 
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])

@@ -337,6 +337,19 @@ class TestCheck:
         assert main(["check", "--suite", "contractivity", "--trials", "20",
                      "--seed", "3"]) == 0
 
+    def test_contractivity_suite_runs_the_layer_kernel(self, monkeypatch, capsys):
+        apply_layer, layers = decolab.cli.apply_layer, []
+
+        def recording(layer, rho):
+            layers.append(layer)
+            return apply_layer(layer, rho)
+
+        monkeypatch.setattr(decolab.cli, "apply_layer", recording)
+        assert main(["check", "--suite", "contractivity"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        # default 200 trials, each pushing two states through a one-gate layer
+        assert len(layers) == 400 and all(len(layer.gates) == 1 for layer in layers)
+
     @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-5"], ["--qubits", "-1"]])
     def test_bad_counts_exit_2_before_any_trial(self, flags, capsys):
         assert main(["check", "--suite", "noise-action", *flags]) == 2

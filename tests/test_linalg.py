@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -385,8 +386,10 @@ class TestValidateDensity:
     def test_non_finite_entry_raises(self, bad, where):
         m = np.full((2, 2), 0.5, dtype=complex)
         m[where] = bad
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            validate_density(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # and no numpy warning first
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                validate_density(m)
 
 
 class TestDensityMatrix:
