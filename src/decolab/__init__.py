@@ -5,8 +5,6 @@ between layers and quantifies, exactly at desk scale, how computations above
 the noise threshold ``eta > 1 - 1/k`` collapse within logarithmic depth.
 """
 
-import os as _os
-
 from .analysis import (
     BoundSeries,
     DistanceReport,
@@ -28,7 +26,6 @@ from .channels import (
     channel_from_unitary,
     channel_validate,
     depolarize_all,
-    depolarize_qubit,
     prep_channel,
 )
 from .circuit import (
@@ -44,7 +41,7 @@ from .circuit import (
     run_noisy,
     serialize_circuit,
 )
-from .config import BLAS_THREADS, BLAS_THREADS_ENV, ResourceLimitError, max_qubits
+from .config import ResourceLimitError, max_qubits
 from .linalg import (
     DensityMatrix,
     ValidationReport,
@@ -57,9 +54,6 @@ from .linalg import (
 )
 
 __version__ = "0.1.0"
-
-if not any(name in _os.environ for name in BLAS_THREADS_ENV):
-    limit_blas_threads(BLAS_THREADS)
 
 __all__ = [
     "BoundSeries",
@@ -81,7 +75,6 @@ __all__ = [
     "channel_validate",
     "check_noise_action",
     "depolarize_all",
-    "depolarize_qubit",
     "distance_report",
     "f_series",
     "hermitian_eigenvalues",

@@ -28,7 +28,6 @@ __all__ = [
     "channel_from_unitary",
     "channel_validate",
     "depolarize_all",
-    "depolarize_qubit",
     "prep_channel",
     "random_channel",
 ]
@@ -146,18 +145,6 @@ def _depolarized(rho: DensityMatrix, qubits: Sequence[int], eta: float) -> Densi
         d0 += fresh
         d1 += fresh
     return DensityMatrix._adopt(rho.qubits, buf)
-
-
-def depolarize_qubit(rho: DensityMatrix, q: int, eta: float) -> DensityMatrix:
-    """Depolarize one qubit: with probability ``eta`` replace it by I/2.
-
-    Affine evaluation of ``(1-eta) rho + eta (tr_q rho) (x) I/2`` with the
-    fresh factor reinserted at position ``q``, in place on one copy of the
-    input; the trace is preserved to floating point exactly.
-    """
-    if not 0 <= q < rho.qubits:
-        raise ValueError(f"qubit {q} out of range for {rho.qubits}-qubit state")
-    return _depolarized(rho, (q,), eta)
 
 
 def depolarize_all(rho: DensityMatrix, eta: float) -> DensityMatrix:

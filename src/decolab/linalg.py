@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .config import (
     BLAS_THREADS,
+    BLAS_THREADS_ENV,
     HARD_MAX_QUBITS,
     HERM_TOL,
     PSD_TOL,
@@ -107,11 +109,6 @@ class DensityMatrix:
         state = object.__new__(cls)
         vars(state).update(qubits=qubits, mat=buf)  # frozen: bypass __setattr__
         return state
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "DensityMatrix":
-        m = _as_square(mat, "state matrix")
-        return cls(_qubits_for_dim(m.shape[0]), m)
 
     @classmethod
     def basis_state(cls, qubits: int, index: int) -> "DensityMatrix":
@@ -415,9 +412,22 @@ def random_density(qubits: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(qubits, rho / np.trace(rho).real)
 
 
-#: the count :func:`limit_blas_threads` last set, which a distance report
-#: divides the usable CPUs by when the environment names none
-_blas_threads = BLAS_THREADS
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _named_blas_threads() -> int:
+    """The start-up BLAS threads: the first positive count a set variable
+    names (else every usable CPU), or ``BLAS_THREADS``, set below, if none is."""
+    if not any(name in os.environ for name in BLAS_THREADS_ENV):
+        return BLAS_THREADS
+    named = [os.environ.get(name, "").strip() for name in BLAS_THREADS_ENV]
+    return next((int(n) for n in named if n.isdigit() and int(n) > 0), _usable_cpus())
+
+
+#: the BLAS threads an eigensolve may start, which a distance report divides
+#: the usable CPUs by: the start-up count, then :func:`limit_blas_threads`'s
+_blas_threads = _named_blas_threads()
 
 
 def limit_blas_threads(threads: int) -> int:
@@ -444,3 +454,7 @@ def limit_blas_threads(threads: int) -> int:
         setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(threads)
     return len(setters)
+
+
+if not any(name in os.environ for name in BLAS_THREADS_ENV):
+    limit_blas_threads(BLAS_THREADS)

@@ -1,7 +1,8 @@
-"""Reference implementations that only the tests use: explicit matrices the
-library's strided kernels are checked against, assembled channels, the
-Kraus-sum channel application and the Pauli-form depolarizer its kernels and
-affine noise round are checked against, the full subset enumeration its
+"""Reference implementations that only the tests use: states from bare
+matrices, explicit matrices the library's strided kernels are checked
+against, assembled channels, the one-qubit affine depolarizer, the Kraus-sum
+channel application and the Pauli-form depolarizer its kernels and affine
+noise round are checked against, the full subset enumeration its
 pruned one is checked against, the serial level loop its threaded report is
 checked against, circuits of the benchmark's gate mix with the dense
 worthlessness verdicts the split eigensolves are checked against, the
@@ -15,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from decolab.analysis import MaxProfile, max_profile
-from decolab.channels import GATES, QuantumChannel
+from decolab.channels import GATES, QuantumChannel, _depolarized
 from decolab.circuit import Circuit, Trajectory, format_complex, parse_circuit, run_noisy
 from decolab.config import HARD_MAX_QUBITS, ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
+    _qubits_for_dim,
     batched_partial_trace,
     haar_unitary,
     permute_matrix,
@@ -29,6 +31,12 @@ from decolab.linalg import (
 
 #: assembled channels refuse to materialize more Kraus terms than this
 KRAUS_TERM_CAP = 256
+
+
+def from_matrix(mat: np.ndarray) -> DensityMatrix:
+    """A state from its matrix, the qubit count read off the dimension."""
+    m = np.asarray(mat, dtype=np.complex128)
+    return DensityMatrix(_qubits_for_dim(m.shape[0]), m)
 
 
 def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -200,9 +208,21 @@ def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumC
     return QuantumChannel(in_qubits, out_qubits, tuple(kraus), label=label)
 
 
+def depolarize_qubit(rho: DensityMatrix, q: int, eta: float) -> DensityMatrix:
+    """Depolarize one qubit: with probability ``eta`` replace it by I/2.
+
+    The library's affine kernel on one qubit, ``(1-eta) rho + eta (tr_q rho)
+    (x) I/2`` with the fresh factor reinserted at position ``q``, in place on
+    one copy of the input; the trace is preserved to floating point exactly.
+    """
+    if not 0 <= q < rho.qubits:
+        raise ValueError(f"qubit {q} out of range for {rho.qubits}-qubit state")
+    return _depolarized(rho, (q,), eta)
+
+
 def depolarizing_kraus_channel(eta: float) -> QuantumChannel:
     """Single-qubit depolarizer in four-operator Pauli form, the independent
-    route to the library's affine ``depolarize_qubit``."""
+    route to the affine ``depolarize_qubit``."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     i, x, y, z = (GATES[name].kraus[0] for name in "IXYZ")

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -46,6 +48,8 @@ from decolab.linalg import (
 )
 
 import decolab.analysis
+import decolab.circuit
+import decolab.linalg
 from oracles import (
     dense_verdicts,
     full_enumeration_profiles,
@@ -269,6 +273,19 @@ def _count_eigensolves(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     return seen
+
+
+def _count_layers(monkeypatch) -> list[int]:
+    """Patch ``apply_layer`` to count the layers applied."""
+    applied = [0]
+    apply_layer = decolab.circuit.apply_layer
+
+    def counting(layer, rho):
+        applied[0] += 1
+        return apply_layer(layer, rho)
+
+    monkeypatch.setattr(decolab.circuit, "apply_layer", counting)
+    return applied
 
 
 def _matches_full_enumeration(states) -> int:
@@ -547,11 +564,18 @@ class TestNormPruning:
             max_profile(states)
 
 
+def _start_up(monkeypatch) -> None:
+    """Record the BLAS threads that the library reads at import from the
+    environment as it stands now."""
+    monkeypatch.setattr(decolab.linalg, "_blas_threads", decolab.linalg._named_blas_threads())
+
+
 def _use_cpus(monkeypatch, cpus: int) -> None:
     """Make ``distance_report`` see ``cpus`` usable CPUs and single-threaded BLAS."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
+    _start_up(monkeypatch)
 
 
 class TestLevelPool:
@@ -578,8 +602,10 @@ class TestLevelPool:
         circuit = parse_circuit(WIDTH_CHANGING)
         probes = make_probes("random:4", 3, seed=9)
         pooled = distance_report(circuit, 0.3, probes)
-        # the environment names one BLAS thread per usable CPU: one level at a time
+        # the environment named one BLAS thread per usable CPU at start-up:
+        # one level at a time
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(len(os.sched_getaffinity(0))))
+        _start_up(monkeypatch)
         single = distance_report(circuit, 0.3, probes)
         assert single.workers == 1
         assert single == dataclasses.replace(pooled, workers=1)
@@ -599,7 +625,20 @@ class TestLevelPool:
         _use_cpus(monkeypatch, 4)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
+        _start_up(monkeypatch)
         assert decolab.analysis._report_workers() == workers
+
+    def test_limited_blas_threads_override_the_start_up_count(self, monkeypatch):
+        real = decolab.linalg._blas_threads
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        _start_up(monkeypatch)
+        assert decolab.analysis._report_workers() == 1
+        try:
+            limit_blas_threads(1)
+            assert decolab.analysis._report_workers() == 2
+        finally:
+            limit_blas_threads(real)
 
     def test_workers_share_the_cpus_with_limited_blas_threads(self, monkeypatch):
         _use_cpus(monkeypatch, 2)
@@ -712,6 +751,60 @@ class TestWorthlessness:
         monkeypatch.setattr(decolab.analysis, "trace_distance", lambda a, b: next(distances))
         with pytest.raises(ArithmeticError, match="non-finite"):
             verdict(wire_circuit(2), 0.5, probes=make_probes("random:3", 1))
+
+    @pytest.mark.parametrize("width", [5, 7])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_second_verdict_reuses_the_first_verdicts_states(self, seed, width, monkeypatch):
+        c = mixed_circuit(np.random.default_rng(seed), width, 4, ("DEPHASE", "REFRESH"))
+        fresh = mixed_circuit(np.random.default_rng(seed), width, 4, ("DEPHASE", "REFRESH"))
+        probes = make_probes("random:3", width, seed)
+        layers = _count_layers(monkeypatch)
+        pairwise = practically_worthless(c, 0.3, probes=probes)
+        assert layers == [3 * 4]
+        assert worthless(c, 0.3, probes=probes) == worthless(fresh, 0.3, probes=probes)
+        assert layers == [2 * 3 * 4]  # the fresh circuit only
+        assert pairwise == practically_worthless(fresh, 0.3, probes=probes)
+
+    def test_equal_probes_hit_and_any_change_reruns(self, monkeypatch):
+        c = mixed_circuit(np.random.default_rng(5), 7, 3)
+        probes = make_probes("random:3", 7, seed=1)
+        other = make_probes("random:1", 7, seed=2)[0]
+        layers = _count_layers(monkeypatch)
+
+        def applied(verdict, *args, **kwargs) -> int:
+            """Layers the verdict applies on ``c``; its value is a fresh circuit's."""
+            before = layers[0]
+            value = verdict(c, *args, **kwargs)
+            count = layers[0] - before
+            assert value == verdict(mixed_circuit(np.random.default_rng(5), 7, 3), *args, **kwargs)
+            return count
+
+        assert applied(practically_worthless, 0.3, probes=probes) == 3 * 3
+        copies = [DensityMatrix(p.qubits, p.mat.copy()) for p in probes]
+        assert applied(worthless, 0.3, probes=copies) == 0
+        assert applied(worthless, 0.4, probes=probes) == 3 * 3
+        assert applied(worthless, 0.4, probes=probes[:2]) == 2 * 3
+        assert applied(worthless, 0.4, probes=[probes[0], other]) == 2 * 3
+        assert applied(worthless, 0.4) == 32 * 3  # default probes at width 7 ...
+        assert applied(practically_worthless, 0.4) == 0
+        assert applied(practically_worthless, 0.4, seed=1) == 32 * 3  # ... are seeded
+
+    def test_memoized_states_are_freed_with_the_circuit(self, monkeypatch):
+        finals = []
+        real = decolab.analysis.run_noisy
+
+        def recorded(*args, **kwargs):
+            trajectory = real(*args, **kwargs)
+            finals.append(weakref.ref(trajectory.levels[-1]))
+            return trajectory
+
+        monkeypatch.setattr(decolab.analysis, "run_noisy", recorded)
+        c = mixed_circuit(np.random.default_rng(3), 5, 3)
+        practically_worthless(c, 0.3, probes=make_probes("random:3", 5, seed=3))
+        assert len(finals) == 3 and all(ref() is not None for ref in finals)
+        del c
+        gc.collect()
+        assert [ref() for ref in finals] == [None] * 3
 
     @given(seed=st.integers(0, 10**5))
     @settings(max_examples=10)

@@ -11,7 +11,6 @@ from decolab.channels import (
     channel_from_unitary,
     channel_validate,
     depolarize_all,
-    depolarize_qubit,
     prep_channel,
     random_channel,
 )
@@ -24,7 +23,13 @@ from decolab.linalg import (
     validate_density,
 )
 
-from oracles import channel_apply, channel_tensor, depolarizing_kraus_channel, identity_channel
+from oracles import (
+    channel_apply,
+    channel_tensor,
+    depolarize_qubit,
+    depolarizing_kraus_channel,
+    identity_channel,
+)
 
 LIBRARY_NAMES = [
     "I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP", "TOFFOLI",

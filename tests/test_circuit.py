@@ -11,7 +11,6 @@ from decolab.channels import (
     channel_from_unitary,
     channel_validate,
     depolarize_all,
-    depolarize_qubit,
     random_channel,
 )
 from decolab.circuit import (
@@ -38,6 +37,7 @@ from decolab.linalg import (
 from oracles import (
     channel_apply,
     channel_tensor,
+    depolarize_qubit,
     depolarizing_kraus_channel,
     export_trajectory,
     permutation_unitary,

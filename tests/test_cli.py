@@ -1,3 +1,4 @@
+import glob
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import decolab.analysis
 import decolab.circuit
@@ -407,3 +410,106 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as err:
             main(["simulate"])  # missing required flags
         assert err.value.code == 2
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CIRCUITS = sorted(glob.glob(os.path.join(REPO, "circuits", "*.qc")))
+
+
+def _ints(lo: int, hi: int):
+    return st.integers(lo, hi).map(str)
+
+
+_REALS = st.sampled_from(["0", "0.3", "0.6", "0.9", "1", "-0.1", "1.5", "nan", "inf", "x"])
+_OUTPUTS = st.sampled_from(["out.csv", "out.json", "", ".", "no/such/dir.csv"])
+_FORMATS = st.sampled_from(["csv", "json", "xml"])
+
+#: each subcommand's flags and their values (``None`` for a switch), bounded
+#: so that every run is short: the sizes, depths, trials and probe counts are
+#: small, and ``--jobs`` starts no worker
+_FLAGS = {
+    "simulate": {
+        "--circuit": st.sampled_from(CIRCUITS + ["missing.qc", "."]),
+        "--eta": _REALS,
+        "--probes": st.sampled_from(
+            ["basis", "pair:0,1", "pair:0,3", "pair:1", "random:0", "random:3", "random:x", "x"]
+        ),
+        "--eps": _REALS,
+        "--seed": _ints(-1, 3),
+        "--width": _ints(-1, 13),
+        "--output": _OUTPUTS,
+        "--format": _FORMATS,
+        "--extra-noise-round": None,
+    },
+    "bound": {
+        "--k": _ints(-1, 8),
+        "--eta": _REALS,
+        "--depth": _ints(-2, 50),
+        "--n": _ints(-2, 50),
+        "--output": _OUTPUTS,
+        "--format": _FORMATS,
+    },
+    "sweep": {
+        "--k": st.lists(st.integers(-1, 8), max_size=3).map(lambda v: ",".join(map(str, v))),
+        "--eta": st.lists(_REALS, max_size=3).map(",".join),
+        "--n": st.lists(st.integers(-1, 50), max_size=3).map(lambda v: ",".join(map(str, v))),
+        "--eps": _REALS,
+        "--jobs": _ints(-1, 4),
+        "--output": _OUTPUTS,
+        "--format": _FORMATS,
+    },
+    "check": {
+        "--suite": st.sampled_from(["all", "noise-action", "contractivity", "kraus", "x"]),
+        "--seed": _ints(-1, 3),
+    },
+}
+
+#: tokens that name no flag, so none can slip in a value past the bounds
+_JUNK = st.sampled_from(["", "-", "--", "-1", "-z", "--bogus", "x", "1,2", "=", "\u00e9"])
+
+
+#: the flags each subcommand requires; the fuzz always passes them
+_REQUIRED = {
+    "simulate": ["--circuit", "--eta"],
+    "bound": ["--k", "--eta"],
+    "sweep": ["--k", "--eta", "--n"],
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A subcommand, its required flags and some others in any order with
+    drawn values, and up to two junk tokens anywhere."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    required = _REQUIRED.get(command, [])
+    optional = [flag for flag in sorted(flags) if flag not in required]
+    others = draw(st.lists(st.sampled_from(optional), unique=True))
+    argv = [command]
+    for flag in draw(st.permutations(required + others)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    if command == "check":
+        # the noise-action suite enumerates every subset of every subset:
+        # past 4 qubits only a count above the cap, which exits before a trial
+        suite = argv[argv.index("--suite") + 1] if "--suite" in argv else "all"
+        light = suite in ("contractivity", "kraus")
+        qubits = st.integers(-1, 11) if light else st.integers(-1, 4) | st.just(11)
+        argv += ["--qubits", str(draw(qubits)), "--trials", draw(_ints(-1, 3))]
+    for token in draw(st.lists(_JUNK, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+class TestArgvFuzz:
+    @given(argv=_argv())
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_argv_maps_to_an_exit_code(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1, 2, 3, 4), argv

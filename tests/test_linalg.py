@@ -29,14 +29,14 @@ from decolab.linalg import (
     trace_distance,
     validate_density,
 )
-from oracles import mixed_circuit, permutation_unitary, permute_qubits, tensor_all
+from oracles import from_matrix, mixed_circuit, permutation_unitary, permute_qubits, tensor_all
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def _state(mat) -> DensityMatrix:
-    return DensityMatrix.from_matrix(np.asarray(mat, dtype=complex))
+    return from_matrix(np.asarray(mat, dtype=complex))
 
 
 def _rand_state(rng, qubits) -> DensityMatrix:
@@ -395,7 +395,7 @@ class TestValidateDensity:
 class TestDensityMatrix:
     def test_dimension_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            DensityMatrix.from_matrix(np.eye(3, dtype=complex) / 3)
+            from_matrix(np.eye(3, dtype=complex) / 3)
 
     def test_qubit_count_checked(self):
         with pytest.raises(ValueError):

@@ -18,11 +18,14 @@ MODULES = [
 
 #: names the library no longer defines: the ideal run is ``run_noisy`` at
 #: ``eta = 0``, a pair's profile is ``pairwise_profiles([a, b])[0]``, and the
-#: Kraus-sum application and the one-step bounds live in ``tests/oracles.py``
+#: Kraus-sum application, the one-step bounds, the one-qubit depolarizer and
+#: the state from a bare matrix live in ``tests/oracles.py``
 REMOVED = [
     "channel_apply",
+    "depolarize_qubit",
     "distance_profile",
     "empirical_d",
+    "from_matrix",
     "gate_only_step_bound",
     "recursion_step_bound",
     "run_ideal",
@@ -42,6 +45,9 @@ class TestExports:
     def test_removed_names_are_gone(self, name):
         module = importlib.import_module(name)
         assert [n for n in REMOVED if n in module.__all__ or hasattr(module, n)] == []
+
+    def test_removed_names_are_gone_from_the_state_class(self):
+        assert [n for n in REMOVED if hasattr(decolab.DensityMatrix, n)] == []
 
     def test_star_import_matches_all(self):
         namespace: dict = {}
