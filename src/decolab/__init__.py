@@ -26,7 +26,6 @@ from .channels import (
     channel_from_unitary,
     channel_validate,
     depolarize_all,
-    prep_channel,
 )
 from .circuit import (
     Circuit,
@@ -44,13 +43,10 @@ from .circuit import (
 from .config import ResourceLimitError, max_qubits
 from .linalg import (
     DensityMatrix,
-    ValidationReport,
     hermitian_eigenvalues,
     limit_blas_threads,
     partial_trace,
-    tensor,
     trace_distance,
-    validate_density,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +65,6 @@ __all__ = [
     "ResourceLimitError",
     "ThresholdInfo",
     "Trajectory",
-    "ValidationReport",
     "analytic_bound",
     "channel_from_unitary",
     "channel_validate",
@@ -87,13 +82,10 @@ __all__ = [
     "parse_circuit_file",
     "partial_trace",
     "practically_worthless",
-    "prep_channel",
     "random_circuit",
     "run_noisy",
     "serialize_circuit",
-    "tensor",
     "theta_and_threshold",
     "trace_distance",
-    "validate_density",
     "worthless",
 ]

@@ -47,7 +47,6 @@ from .linalg import (
     partial_trace,
     permute_matrix,
     random_pure_state,
-    tensor,
     trace_distance,
 )
 
@@ -461,7 +460,7 @@ def check_noise_action(rho: DensityMatrix, b: Sequence[int], eta: float) -> floa
         a_idx = tuple(b_idx[p] for p in a_positions)
         reduced = partial_trace(rho, a_idx).mat
         pad = size - len(a_positions)
-        term = tensor(reduced, np.eye(2**pad, dtype=np.complex128) / 2**pad)
+        term = np.kron(reduced, np.eye(2**pad, dtype=np.complex128) / 2**pad)
         blocks = list(a_positions) + [p for p in range(size) if p not in a_positions]
         perm = [blocks.index(j) for j in range(size)]
         rhs += weight * permute_matrix(term, perm)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .config import KRAUS_TOL, UNITARY_TOL
-from .linalg import DensityMatrix, ValidationReport
+from .config import UNITARY_TOL
+from .linalg import DensityMatrix, _qubits_for_dim
 
 __all__ = [
     "GATES",
@@ -28,16 +27,8 @@ __all__ = [
     "channel_from_unitary",
     "channel_validate",
     "depolarize_all",
-    "prep_channel",
     "random_channel",
 ]
-
-
-def _log2_dim(dim: int, what: str) -> int:
-    n = int(dim).bit_length() - 1
-    if dim <= 0 or 2**n != dim:
-        raise ValueError(f"{what} dimension {dim} is not a power of two")
-    return n
 
 
 @dataclass(frozen=True, repr=False)
@@ -83,7 +74,7 @@ def channel_from_unitary(u: np.ndarray, label: str = "") -> QuantumChannel:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got {u.shape}")
-    n = _log2_dim(u.shape[0], "unitary")
+    n = _qubits_for_dim(u.shape[0])
     if not np.isfinite(u).all():  # a NaN residual would pass the check below
         raise ValueError("unitary has a non-finite entry")
     residual = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
@@ -99,22 +90,11 @@ _KETP = np.array([[1.0], [1.0]], dtype=np.complex128) / math.sqrt(2)
 _PREP_STATES = {"PREP0": _KET0, "PREP1": _KET1, "PREP_PLUS": _KETP}
 
 
-def prep_channel(label: str) -> QuantumChannel:
-    """Fan-in-0 gate adjoining one fresh qubit in a named pure state."""
-    try:
-        ket = _PREP_STATES[label]
-    except KeyError:
-        raise ValueError(
-            f"unknown preparation {label!r}; expected one of {sorted(_PREP_STATES)}"
-        ) from None
-    return QuantumChannel(0, 1, (ket,), label=label)
-
-
-def channel_validate(t: QuantumChannel) -> ValidationReport:
-    """Check Kraus completeness ``sum K^dagger K = I`` within ``KRAUS_TOL``.
+def channel_validate(t: QuantumChannel) -> float:
+    """Kraus completeness residual: the largest entry of ``sum K^dagger K - I``.
 
     A non-finite Kraus entry raises ``ArithmeticError``: its residual is not
-    finite, and NaN would pass the comparison.
+    finite, and NaN would pass any comparison with a tolerance.
     """
     dim_in = 2**t.in_qubits
     acc = np.zeros((dim_in, dim_in), dtype=np.complex128)
@@ -124,19 +104,22 @@ def channel_validate(t: QuantumChannel) -> ValidationReport:
         residual = float(np.max(np.abs(acc - np.eye(dim_in))))
     if not math.isfinite(residual):
         raise ArithmeticError(f"channel {t.label or '?'} has a non-finite Kraus entry")
-    if residual > KRAUS_TOL:
-        return ValidationReport((("completeness", residual),))
-    return ValidationReport(())
+    return residual
 
 
-def _depolarized(rho: DensityMatrix, qubits: Sequence[int], eta: float) -> DensityMatrix:
-    """One copy of ``rho`` with ``qubits`` depolarized in place in turn: on the
-    view ``(2**q, 2, 2**(n-q-1))`` of rows and columns, every entry scales by
-    ``1 - eta`` and the diagonal blocks of ``q`` gain ``eta/2`` times their sum."""
+def depolarize_all(rho: DensityMatrix, eta: float) -> DensityMatrix:
+    """One noise round: independent depolarization of every qubit, in place
+    on one copy of the input.  Single-qubit depolarizers on distinct qubits
+    commute, so the sweep order is irrelevant (and property-tested).
+
+    Qubit ``q`` is depolarized on the view ``(2**q, 2, 2**(n-q-1))`` of rows
+    and columns: every entry scales by ``1 - eta`` and the diagonal blocks of
+    ``q`` gain ``eta/2`` times their sum.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     buf = rho.mat.copy()
-    for q in qubits:
+    for q in range(rho.qubits):
         v = buf.reshape((2**q, 2, 2 ** (rho.qubits - q - 1)) * 2)
         d0, d1 = v[:, 0, :, :, 0, :], v[:, 1, :, :, 1, :]
         fresh = d0 + d1
@@ -145,14 +128,6 @@ def _depolarized(rho: DensityMatrix, qubits: Sequence[int], eta: float) -> Densi
         d0 += fresh
         d1 += fresh
     return DensityMatrix._adopt(rho.qubits, buf)
-
-
-def depolarize_all(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """One noise round: independent depolarization of every qubit, in place
-    on one copy of the input.  Single-qubit depolarizers on distinct qubits
-    commute, so the sweep order is irrelevant (and property-tested).
-    """
-    return _depolarized(rho, range(rho.qubits), eta)
 
 
 def random_channel(
@@ -210,9 +185,9 @@ def _library() -> dict[str, QuantumChannel]:
     lib["CZ"] = channel_from_unitary(_CZ, label="CZ")
     lib["SWAP"] = channel_from_unitary(_SWAP, label="SWAP")
     lib["TOFFOLI"] = channel_from_unitary(_TOFFOLI, label="TOFFOLI")
-    lib["PREP0"] = prep_channel("PREP0")
-    lib["PREP1"] = prep_channel("PREP1")
-    lib["PREP_PLUS"] = prep_channel("PREP_PLUS")
+    # fan-in-0 gates adjoining one fresh qubit in a named pure state
+    for name, ket in _PREP_STATES.items():
+        lib[name] = QuantumChannel(0, 1, (ket,), label=name)
     # trace-out discards its qubit; measurement-as-a-gate keeps the register
     # but kills the coherences, so everything stays inside the channel picture
     lib["TRACEOUT"] = QuantumChannel(

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .channels import GATES, channel_validate, random_channel
 from .circuit import CircuitError, CircuitLayer, PlacedGate, apply_layer, parse_circuit_file
-from .config import ResourceLimitError
+from .config import KRAUS_TOL, ResourceLimitError
 from .linalg import random_density, trace_distance
 
 __all__ = ["main"]
@@ -35,29 +35,19 @@ EXIT_NUMERIC = 4
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     # shortest representation that round-trips the double exactly
     return repr(float(value))
-
-
-def _json_ready(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def _write_table(
     path: str, columns: list[str], rows: list[list], fmt: str, preamble: list[str] | None = None
 ) -> None:
     if fmt == "json":
-        payload = [
-            {c: _json_ready(v) for c, v in zip(columns, row)} for row in rows
-        ]
+        payload = [dict(zip(columns, row)) for row in rows]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -202,15 +192,6 @@ def _check_contractivity(trials: int, seed: int) -> float:
     return worst
 
 
-def _check_kraus() -> float:
-    worst = 0.0
-    for channel in GATES.values():
-        report = channel_validate(channel)
-        for _, residual in report.violations:
-            worst = max(worst, residual)
-    return worst
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
@@ -226,7 +207,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             lambda: _check_contractivity(args.trials or 200, args.seed),
             1e-9,
         ),
-        "kraus": (lambda: _check_kraus(), 1e-9),
+        "kraus": (lambda: max(channel_validate(g) for g in GATES.values()), KRAUS_TOL),
     }
     selected = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True

@@ -26,8 +26,6 @@ BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 #: validation tolerances for states and channels; they assume double precision
 #: and at most ~10^3 arithmetic layers, which keeps drift well below each one
 HERM_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-8
 KRAUS_TOL = 1e-9
 UNITARY_TOL = 1e-9
 

@@ -16,33 +16,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import (
-    BLAS_THREADS,
-    BLAS_THREADS_ENV,
-    HARD_MAX_QUBITS,
-    HERM_TOL,
-    PSD_TOL,
-    TRACE_RENORM_LIMIT,
-    TRACE_TOL,
-    ResourceLimitError,
-)
+from .config import BLAS_THREADS, BLAS_THREADS_ENV, HERM_TOL, TRACE_RENORM_LIMIT
 
 __all__ = [
     "DensityMatrix",
-    "ValidationReport",
     "batched_partial_trace",
     "check_subset",
     "haar_unitary",
     "hermitian_eigenvalues",
-    "hermitian_part",
     "limit_blas_threads",
     "partial_trace",
     "random_density",
     "random_pure_state",
     "settle",
-    "tensor",
     "trace_distance",
-    "validate_density",
 ]
 
 #: smallest matrix that ``hermitian_eigenvalues`` splits over classical
@@ -93,10 +80,6 @@ class DensityMatrix:
             )
         object.__setattr__(self, "mat", _frozen(m))
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def __repr__(self) -> str:  # matrices are noise in tracebacks
         return f"DensityMatrix(qubits={self.qubits})"
 
@@ -136,27 +119,6 @@ class DensityMatrix:
         mat /= dim
         return cls._adopt(qubits, mat)
 
-    @classmethod
-    def scalar(cls) -> "DensityMatrix":
-        return cls(0, np.ones((1, 1), dtype=np.complex128))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Violated invariants with their measured residuals; empty means valid."""
-
-    violations: tuple[tuple[str, float], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def residual(self, name: str) -> float | None:
-        for key, value in self.violations:
-            if key == name:
-                return value
-        return None
-
 
 def check_subset(indices: Iterable[int], qubits: int) -> tuple[int, ...]:
     """Validate a qubit subset: strictly increasing, all in ``range(qubits)``."""
@@ -167,27 +129,6 @@ def check_subset(indices: Iterable[int], qubits: int) -> tuple[int, ...]:
     if idx and (idx[0] < 0 or idx[-1] >= qubits):
         raise ValueError(f"subset {idx} out of range for {qubits} qubits")
     return idx
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the desk-scale dimension cap enforced.
-
-    The left factor owns the more significant qubits.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out_rows = a.shape[0] * b.shape[0]
-    out_cols = (a.shape[1] if a.ndim == 2 else 1) * (b.shape[1] if b.ndim == 2 else 1)
-    cap = 2**HARD_MAX_QUBITS
-    if max(out_rows, out_cols) > cap:
-        raise ResourceLimitError(
-            f"tensor result {out_rows}x{out_cols} exceeds the {cap} dimension cap"
-        )
-    return np.kron(a, b)
-
-
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
 
 
 def settle(mat: np.ndarray) -> np.ndarray:
@@ -268,7 +209,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     if residual > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     # an exactly Hermitian m is bitwise its own Hermitian part
-    h = m if residual == 0.0 else hermitian_part(m)
+    h = m if residual == 0.0 else (m + m.conj().T) / 2
     dim = h.shape[0]
     n = dim.bit_length() - 1
     classical = _classical_qubits(h, n) if dim == 2**n and dim >= _SPLIT_MIN_DIM else []
@@ -346,31 +287,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         )
     ev = hermitian_eigenvalues(rho.mat - sigma.mat)
     return 0.5 * float(np.sum(np.abs(ev)))
-
-
-def validate_density(m: np.ndarray) -> ValidationReport:
-    """Check the density-matrix invariants; violations come back as data.
-
-    Residuals: ``hermitian`` is the largest entry of ``m - m^dagger``,
-    ``trace`` is ``|tr(m) - 1|``, ``psd`` is how far the lowest eigenvalue
-    dips below zero.  A non-finite entry raises ``ArithmeticError``: its
-    residual is not finite, and NaN would pass every comparison below.
-    """
-    m = _as_square(m, "density matrix candidate")
-    violations: list[tuple[str, float]] = []
-    with np.errstate(invalid="ignore"):  # a non-finite residual raises below
-        herm_res = float(np.max(np.abs(m - m.conj().T)))
-    if not math.isfinite(herm_res):
-        raise ArithmeticError("density matrix candidate has a non-finite entry")
-    if herm_res > HERM_TOL:
-        violations.append(("hermitian", herm_res))
-    trace_res = float(abs(np.trace(m) - 1.0))
-    if trace_res > TRACE_TOL:
-        violations.append(("trace", trace_res))
-    min_eig = float(np.linalg.eigvalsh(hermitian_part(m))[0])
-    if min_eig < -PSD_TOL:
-        violations.append(("psd", -min_eig))
-    return ValidationReport(tuple(violations))
 
 
 def _check_perm(perm: Sequence[int]) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use: states from bare
-matrices, explicit matrices the library's strided kernels are checked
-against, assembled channels, the one-qubit affine depolarizer, the Kraus-sum
+matrices, the density-matrix validator and the capped Kronecker product,
+explicit matrices the library's strided kernels are checked against,
+assembled channels, the one-qubit affine depolarizer, the Kraus-sum
 channel application and the Pauli-form depolarizer its kernels and affine
 noise round are checked against, the full subset enumeration its
 pruned one is checked against, the serial level loop its threaded report is
@@ -11,32 +12,101 @@ trajectory writer."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from decolab.analysis import MaxProfile, max_profile
-from decolab.channels import GATES, QuantumChannel, _depolarized
+from decolab.channels import GATES, QuantumChannel
 from decolab.circuit import Circuit, Trajectory, format_complex, parse_circuit, run_noisy
-from decolab.config import HARD_MAX_QUBITS, ResourceLimitError
+from decolab.config import HARD_MAX_QUBITS, HERM_TOL, ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
+    _as_square,
     _qubits_for_dim,
     batched_partial_trace,
     haar_unitary,
+    partial_trace,
     permute_matrix,
     settle,
-    tensor,
 )
 
 #: assembled channels refuse to materialize more Kraus terms than this
 KRAUS_TERM_CAP = 256
+
+#: state tolerances of :func:`validate_density`, beside ``HERM_TOL``
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-8
 
 
 def from_matrix(mat: np.ndarray) -> DensityMatrix:
     """A state from its matrix, the qubit count read off the dimension."""
     m = np.asarray(mat, dtype=np.complex128)
     return DensityMatrix(_qubits_for_dim(m.shape[0]), m)
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Violated invariants with their measured residuals; empty means valid."""
+
+    violations: tuple[tuple[str, float], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def residual(self, name: str) -> float | None:
+        for key, value in self.violations:
+            if key == name:
+                return value
+        return None
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
+
+
+def validate_density(m: np.ndarray) -> ValidationReport:
+    """Check the density-matrix invariants; violations come back as data.
+
+    Residuals: ``hermitian`` is the largest entry of ``m - m^dagger``,
+    ``trace`` is ``|tr(m) - 1|``, ``psd`` is how far the lowest eigenvalue
+    dips below zero.  A non-finite entry raises ``ArithmeticError``: its
+    residual is not finite, and NaN would pass every comparison below.
+    """
+    m = _as_square(m, "density matrix candidate")
+    violations: list[tuple[str, float]] = []
+    with np.errstate(invalid="ignore"):  # a non-finite residual raises below
+        herm_res = float(np.max(np.abs(m - m.conj().T)))
+    if not math.isfinite(herm_res):
+        raise ArithmeticError("density matrix candidate has a non-finite entry")
+    if herm_res > HERM_TOL:
+        violations.append(("hermitian", herm_res))
+    trace_res = float(abs(np.trace(m) - 1.0))
+    if trace_res > TRACE_TOL:
+        violations.append(("trace", trace_res))
+    min_eig = float(np.linalg.eigvalsh(hermitian_part(m))[0])
+    if min_eig < -PSD_TOL:
+        violations.append(("psd", -min_eig))
+    return ValidationReport(tuple(violations))
+
+
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with the desk-scale dimension cap enforced.
+
+    The left factor owns the more significant qubits.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    out_rows = a.shape[0] * b.shape[0]
+    out_cols = (a.shape[1] if a.ndim == 2 else 1) * (b.shape[1] if b.ndim == 2 else 1)
+    cap = 2**HARD_MAX_QUBITS
+    if max(out_rows, out_cols) > cap:
+        raise ResourceLimitError(
+            f"tensor result {out_rows}x{out_cols} exceeds the {cap} dimension cap"
+        )
+    return np.kron(a, b)
 
 
 def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -211,13 +281,18 @@ def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumC
 def depolarize_qubit(rho: DensityMatrix, q: int, eta: float) -> DensityMatrix:
     """Depolarize one qubit: with probability ``eta`` replace it by I/2.
 
-    The library's affine kernel on one qubit, ``(1-eta) rho + eta (tr_q rho)
-    (x) I/2`` with the fresh factor reinserted at position ``q``, in place on
-    one copy of the input; the trace is preserved to floating point exactly.
+    The affine form ``(1-eta) rho + eta (tr_q rho) (x) I/2``, assembled from
+    the partial trace and a Kronecker product with the fresh factor moved
+    back to position ``q``, independent of the library's in-place kernel.
     """
     if not 0 <= q < rho.qubits:
         raise ValueError(f"qubit {q} out of range for {rho.qubits}-qubit state")
-    return _depolarized(rho, (q,), eta)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    n = rho.qubits
+    rest = partial_trace(rho, [p for p in range(n) if p != q]).mat
+    fresh = permute_matrix(np.kron(rest, np.eye(2) / 2), [*range(q), n - 1, *range(q, n - 1)])
+    return DensityMatrix(n, (1.0 - eta) * rho.mat + eta * fresh)
 
 
 def depolarizing_kraus_channel(eta: float) -> QuantumChannel:

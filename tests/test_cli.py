@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import decolab.analysis
 import decolab.circuit
 import decolab.cli
-from decolab.channels import QuantumChannel
+from decolab.channels import GATES, QuantumChannel, channel_validate
 from decolab.circuit import Trajectory, random_circuit, serialize_circuit
 from decolab.cli import main
 from decolab.linalg import DensityMatrix
@@ -319,7 +319,11 @@ class TestSweep:
 class TestCheck:
     def test_kraus_suite(self, capsys):
         assert main(["check", "--suite", "kraus"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        residual = float(out.split("max_residual=")[1].split()[0])
+        assert residual == max(channel_validate(g) for g in GATES.values())
+        assert residual > 0.0
 
     def test_kraus_suite_exits_4_on_a_nan_gate(self, monkeypatch, capsys):
         kraus = np.eye(2, dtype=complex)

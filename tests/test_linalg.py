@@ -19,17 +19,23 @@ from decolab.linalg import (
     check_subset,
     haar_unitary,
     hermitian_eigenvalues,
-    hermitian_part,
     limit_blas_threads,
     partial_trace,
     permute_matrix,
     random_density,
     settle,
-    tensor,
     trace_distance,
+)
+from oracles import (
+    from_matrix,
+    hermitian_part,
+    mixed_circuit,
+    permutation_unitary,
+    permute_qubits,
+    tensor,
+    tensor_all,
     validate_density,
 )
-from oracles import from_matrix, mixed_circuit, permutation_unitary, permute_qubits, tensor_all
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib
 import os
 import subprocess
@@ -17,21 +19,59 @@ MODULES = [
 ]
 
 #: names the library no longer defines: the ideal run is ``run_noisy`` at
-#: ``eta = 0``, a pair's profile is ``pairwise_profiles([a, b])[0]``, and the
-#: Kraus-sum application, the one-step bounds, the one-qubit depolarizer and
-#: the state from a bare matrix live in ``tests/oracles.py``
+#: ``eta = 0``, a pair's profile is ``pairwise_profiles([a, b])[0]``, a
+#: preparation is ``GATES["PREP0"]`` and its kin, the scalar state is
+#: ``basis_state(0, 0)``, ``channel_validate`` returns its residual, and the
+#: Kraus-sum application, the one-step bounds, the one-qubit depolarizer,
+#: the state from a bare matrix, the density-matrix validator, the capped
+#: Kronecker product and the Hermitian part live in ``tests/oracles.py``
 REMOVED = [
+    "PSD_TOL",
+    "TRACE_TOL",
+    "ValidationReport",
+    "_depolarized",
+    "_json_ready",
+    "_log2_dim",
     "channel_apply",
     "depolarize_qubit",
+    "dim",
     "distance_profile",
     "empirical_d",
     "from_matrix",
     "gate_only_step_bound",
+    "hermitian_part",
+    "prep_channel",
     "recursion_step_bound",
     "run_ideal",
+    "scalar",
+    "tensor",
+    "validate_density",
 ]
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _references(pattern: str) -> set[str]:
+    """Every name and attribute the matching files use, leaving out
+    ``__all__`` lists, imports and the names being defined."""
+    used: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in glob.glob(os.path.join(REPO, pattern)):
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()))
+    return used
 
 
 class TestExports:
@@ -42,9 +82,19 @@ class TestExports:
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
     @pytest.mark.parametrize("name", MODULES)
+    def test_every_exported_name_is_used_by_the_product(self, name):
+        # used by the library beyond its definition and exports, or by the
+        # scripts or the benchmark; a name only the tests use is an oracle
+        used = _references("src/decolab/*.py") | _references("scripts/*.py")
+        used |= _references("perfbench/*.py")
+        module = importlib.import_module(name)
+        assert [n for n in module.__all__ if n not in used] == []
+
+    @pytest.mark.parametrize("name", MODULES + ["decolab.config"])
     def test_removed_names_are_gone(self, name):
         module = importlib.import_module(name)
-        assert [n for n in REMOVED if n in module.__all__ or hasattr(module, n)] == []
+        exported = getattr(module, "__all__", [])
+        assert [n for n in REMOVED if n in exported or hasattr(module, n)] == []
 
     def test_removed_names_are_gone_from_the_state_class(self):
         assert [n for n in REMOVED if hasattr(decolab.DensityMatrix, n)] == []
