@@ -11,7 +11,7 @@ recursion predicts above the threshold.
 import argparse
 import math
 
-from decolab.analysis import min_worthless_depth, theta_and_threshold
+from decolab.analysis import BELOW_THRESHOLD, min_worthless_depth, theta_and_threshold
 
 
 def main() -> None:
@@ -32,6 +32,7 @@ def main() -> None:
     for eta in etas:
         info = theta_and_threshold(args.k, eta)
         depths = [min_worthless_depth(args.k, eta, n, args.eps) for n in sizes]
+        depths = ["n/a" if d == BELOW_THRESHOLD else d for d in depths]
         cells = " ".join(f"{str(d):<7}" for d in depths)
         print(f"{eta:>6} {info.theta:>7.3f} {cells}")
         if info.above and isinstance(depths[0], int):

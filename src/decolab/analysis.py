@@ -86,10 +86,6 @@ class BoundSeries:
     f: tuple[float, ...]
 
     @property
-    def theta(self) -> float:
-        return self.k * (1.0 - self.eta)
-
-    @property
     def depth(self) -> int:
         return len(self.f) - 1
 

@@ -39,13 +39,7 @@ import numpy as np
 
 from .channels import GATES, QuantumChannel, channel_from_unitary, depolarize_all
 from .config import ResourceLimitError, max_qubits
-from .linalg import (
-    DensityMatrix,
-    check_subset,
-    haar_unitary,
-    permute_matrix,
-    settle,
-)
+from .linalg import DensityMatrix, haar_unitary, permute_matrix, settle
 
 __all__ = [
     "Circuit",
@@ -100,14 +94,17 @@ class PlacedGate:
 
 
 def _check_partition(sets: Iterable[tuple[int, ...]], width: int, what: str) -> None:
-    seen: dict[int, int] = {}
+    """Strictly increasing index lists that cover ``range(width)`` once."""
+    seen: set[int] = set()
     for s in sets:
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise CircuitError(f"{what} subset {s} must be strictly increasing")
         for q in s:
             if not 0 <= q < width:
                 raise CircuitError(f"{what} index {q} out of range for width {width}")
             if q in seen:
                 raise CircuitError(f"{what} qubit {q} is claimed by two gates")
-            seen[q] = 1
+            seen.add(q)
     missing = [q for q in range(width) if q not in seen]
     if missing:
         raise CircuitError(f"{what} qubit(s) {missing} are not covered by any gate")
@@ -183,14 +180,6 @@ class CircuitLayer:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            try:
-                check_subset(g.inputs, self.in_width)
-                check_subset(g.outputs, self.out_width)
-            except CircuitError:
-                raise
-            except ValueError as exc:
-                raise CircuitError(str(exc)) from None
         _check_partition((g.inputs for g in self.gates), self.in_width, "input")
         _check_partition((g.outputs for g in self.gates), self.out_width, "output")
 
@@ -252,7 +241,6 @@ class Trajectory:
     """
 
     levels: tuple[DensityMatrix, ...]
-    eta: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -359,7 +347,14 @@ def run_noisy(
         levels.append(cur)
     if extra_noise_round and circuit.depth > 0:
         levels[-1] = depolarize_all(levels[-1], eta)
-    return Trajectory(tuple(levels), eta=eta)
+    return Trajectory(tuple(levels))
+
+
+def _capped_width(width: int, where: str = "") -> int:
+    """``width``, or :class:`ResourceLimitError` above the qubit cap."""
+    if width > max_qubits():
+        raise ResourceLimitError(f"{where}width {width} exceeds the cap {max_qubits()}")
+    return width
 
 
 def random_circuit(k: int, width: int, depth: int, seed: int) -> Circuit:
@@ -367,10 +362,7 @@ def random_circuit(k: int, width: int, depth: int, seed: int) -> Circuit:
     size <= k, each block carrying a Haar-ish random unitary."""
     if k not in (1, 2, 3):
         raise ValueError(f"random circuits support k in {{1, 2, 3}}, got {k}")
-    if width > max_qubits():
-        raise ResourceLimitError(
-            f"width {width} exceeds the configured cap {max_qubits()}"
-        )
+    _capped_width(width)
     rng = np.random.default_rng(seed)
     layers = []
     for _ in range(depth):
@@ -405,13 +397,6 @@ def format_complex(z: complex) -> str:
     return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
 
 
-def _parse_complex(token: str, line: int) -> complex:
-    try:
-        return complex(token.replace("i", "j"))
-    except ValueError:
-        raise CircuitParseError(line, f"bad complex entry {token!r}") from None
-
-
 def _parse_indices(text: str, line: int) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -435,29 +420,37 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-class _LayerBuilder:
-    def __init__(self, in_width: int, out_width: int, line: int):
-        self.in_width = in_width
-        self.out_width = out_width
-        self.line = line
-        self.gates: list[PlacedGate] = []
+def _finish_layer(
+    in_width: int, out_width: int, line: int, gates: list[PlacedGate]
+) -> CircuitLayer:
+    # implicit identity wires only when they are unambiguous: the layer
+    # keeps its width and the untouched index sets coincide
+    used_in = {q for g in gates for q in g.inputs}
+    used_out = {q for g in gates for q in g.outputs}
+    missing_in = sorted(set(range(in_width)) - used_in)
+    missing_out = sorted(set(range(out_width)) - used_out)
+    if in_width == out_width and missing_in and missing_in == missing_out:
+        for q in missing_in:
+            gates.append(PlacedGate(GATES["I"], (q,), (q,)))
+    gates.sort(key=lambda g: g.outputs[0] if g.outputs else (g.inputs[0] if g.inputs else -1))
+    try:
+        return CircuitLayer(in_width, out_width, tuple(gates))
+    except CircuitError as exc:
+        raise CircuitParseError(line, str(exc)) from None
 
-    def finish(self) -> CircuitLayer:
-        # implicit identity wires only when they are unambiguous: the layer
-        # keeps its width and the untouched index sets coincide
-        used_in = {q for g in self.gates for q in g.inputs}
-        used_out = {q for g in self.gates for q in g.outputs}
-        missing_in = sorted(set(range(self.in_width)) - used_in)
-        missing_out = sorted(set(range(self.out_width)) - used_out)
-        gates = list(self.gates)
-        if self.in_width == self.out_width and missing_in and missing_in == missing_out:
-            for q in missing_in:
-                gates.append(PlacedGate(GATES["I"], (q,), (q,)))
-        gates.sort(key=lambda g: g.outputs[0] if g.outputs else (g.inputs[0] if g.inputs else -1))
+
+def _unitary_channel(text: str, m: int) -> QuantumChannel:
+    """The ``m``-qubit unitary spelled row-major in ``a+bi`` tokens."""
+    entries = []
+    for token in text.split():
         try:
-            return CircuitLayer(self.in_width, self.out_width, tuple(gates))
-        except CircuitError as exc:
-            raise CircuitParseError(self.line, str(exc)) from None
+            entries.append(complex(token.replace("i", "j")))
+        except ValueError:
+            raise ValueError(f"bad complex entry {token!r}") from None
+    dim = 2**m
+    if len(entries) != dim * dim:
+        raise ValueError(f"unitary on {m} qubit(s) needs {dim * dim} entries, got {len(entries)}")
+    return channel_from_unitary(np.array(entries, dtype=np.complex128).reshape(dim, dim))
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -466,13 +459,8 @@ def parse_circuit(text: str) -> Circuit:
     in_width: int | None = None
     width: int | None = None
     layers: list[CircuitLayer] = []
-    builder: _LayerBuilder | None = None
-
-    def close_builder() -> None:
-        nonlocal builder
-        if builder is not None:
-            layers.append(builder.finish())
-            builder = None
+    block: tuple[int, int, int] | None = None  # the open layer's widths and line
+    gates: list[PlacedGate] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -486,79 +474,47 @@ def parse_circuit(text: str) -> Circuit:
             if len(tokens) != 2 or not _is_count(tokens[1]):
                 raise CircuitParseError(lineno, "expected 'k <int>'")
             k = int(tokens[1])
-        elif keyword == "width" and in_width is None:
+        elif keyword == "width":
+            if in_width is not None:
+                raise CircuitParseError(
+                    lineno, "misplaced 'width' header (use 'layer width <int>' per layer)"
+                )
             if len(tokens) != 2 or not _is_count(tokens[1]):
                 raise CircuitParseError(lineno, "expected 'width <int>'")
-            in_width = int(tokens[1])
-            width = in_width
-            if in_width > max_qubits():
-                raise ResourceLimitError(
-                    f"line {lineno}: width {in_width} exceeds the cap {max_qubits()}"
-                )
+            in_width = width = _capped_width(int(tokens[1]), f"line {lineno}: ")
         elif keyword == "layer":
             if k is None or width is None:
                 raise CircuitParseError(lineno, "'k' and 'width' headers must come first")
-            close_builder()
+            if block is not None:
+                layers.append(_finish_layer(*block, gates))
             out_width = width
             if len(tokens) == 3 and tokens[1] == "width" and _is_count(tokens[2]):
-                out_width = int(tokens[2])
+                out_width = _capped_width(int(tokens[2]), f"line {lineno}: ")
             elif len(tokens) != 1:
                 raise CircuitParseError(lineno, "expected 'layer' or 'layer width <int>'")
-            if out_width > max_qubits():
-                raise ResourceLimitError(
-                    f"line {lineno}: width {out_width} exceeds the cap {max_qubits()}"
-                )
-            builder = _LayerBuilder(width, out_width, lineno)
+            block, gates = (width, out_width, lineno), []
             width = out_width
-        elif keyword == "gate":
-            if builder is None:
-                raise CircuitParseError(lineno, "'gate' outside of a layer block")
-            head, ins, outs = _split_gate_line(stripped[len("gate") :], lineno)
-            if head not in GATES:
-                raise CircuitParseError(lineno, f"unknown gate {head!r}")
-            channel = GATES[head]
-            if channel.in_qubits > (k or 0):
-                raise CircuitParseError(
-                    lineno, f"gate {head} has fan-in {channel.in_qubits} > declared k={k}"
-                )
+        elif keyword in ("gate", "unitary"):
+            if block is None:
+                raise CircuitParseError(lineno, f"'{keyword}' outside of a layer block")
+            head, ins, outs = _split_gate_line(stripped[len(keyword) :], lineno)
+            if keyword == "gate":
+                if head not in GATES:
+                    raise CircuitParseError(lineno, f"unknown gate {head!r}")
+                name, fan_in = f"gate {head}", GATES[head].in_qubits
+            else:
+                name, fan_in = "unitary", len(ins)
+            if fan_in > k:  # ahead of building a unitary of that size
+                raise CircuitParseError(lineno, f"{name} has fan-in {fan_in} > declared k={k}")
             try:
-                builder.gates.append(PlacedGate(channel, ins, outs))
-            except CircuitError as exc:
-                raise CircuitParseError(lineno, str(exc)) from None
-        elif keyword == "unitary":
-            if builder is None:
-                raise CircuitParseError(lineno, "'unitary' outside of a layer block")
-            head, ins, outs = _split_gate_line(stripped[len("unitary") :], lineno)
-            entries = [_parse_complex(tok, lineno) for tok in head.split()]
-            m = len(ins)
-            if len(outs) != m:
-                raise CircuitParseError(lineno, "unitary gates need |in| == |out|")
-            if m > (k or 0):
-                raise CircuitParseError(
-                    lineno, f"unitary has fan-in {m} > declared k={k}"
-                )
-            dim = 2**m
-            if len(entries) != dim * dim:
-                raise CircuitParseError(
-                    lineno,
-                    f"unitary on {m} qubit(s) needs {dim * dim} entries, got {len(entries)}",
-                )
-            u = np.array(entries, dtype=np.complex128).reshape(dim, dim)
-            try:
-                channel = channel_from_unitary(u)
+                channel = GATES[head] if keyword == "gate" else _unitary_channel(head, fan_in)
+                gates.append(PlacedGate(channel, ins, outs))
             except ValueError as exc:
                 raise CircuitParseError(lineno, str(exc)) from None
-            try:
-                builder.gates.append(PlacedGate(channel, ins, outs))
-            except CircuitError as exc:
-                raise CircuitParseError(lineno, str(exc)) from None
-        elif keyword == "width":
-            raise CircuitParseError(
-                lineno, "misplaced 'width' header (use 'layer width <int>' per layer)"
-            )
         else:
             raise CircuitParseError(lineno, f"unrecognized directive {keyword!r}")
-    close_builder()
+    if block is not None:
+        layers.append(_finish_layer(*block, gates))
     if k is None or in_width is None:
         raise CircuitParseError(0, "missing 'k' and/or 'width' header")
     try:

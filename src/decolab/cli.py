@@ -146,8 +146,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     rows = []
     for k, eta, n in itertools.product(args.k, args.eta, args.n):
         depth = analysis.min_worthless_depth(k, eta, n, args.eps)
@@ -163,11 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _check_noise_action(qubits: int, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    subsets = [
-        list(c)
-        for size in range(qubits + 1)
-        for c in itertools.combinations(range(qubits), size)
-    ]
+    subsets = list(analysis._subsets(qubits))
     worst = 0.0
     for _ in range(trials):
         rho = random_density(qubits, rng)
@@ -274,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--eta", type=_float_list, required=True, help="comma-separated rates")
     swp.add_argument("--n", type=_int_list, required=True, help="comma-separated readout sizes")
     swp.add_argument("--eps", type=float, default=analysis.DEFAULT_EPS)
-    swp.add_argument(
-        "--jobs", type=int, default=1, help="kept for compatibility; changes nothing"
-    )
     swp.add_argument("--output")
     swp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     swp.set_defaults(handler=cmd_sweep)

@@ -739,7 +739,7 @@ class TestWorthlessness:
         def poisoned(circuit, eta, rho0, extra_noise_round=False):
             mat = np.array(rho0.mat)
             mat[0, -1] = mat[-1, 0] = np.nan
-            return Trajectory((rho0, DensityMatrix(rho0.qubits, mat)), eta=eta)
+            return Trajectory((rho0, DensityMatrix(rho0.qubits, mat)))
 
         monkeypatch.setattr(decolab.analysis, "run_noisy", poisoned)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="non-finite"):

@@ -278,6 +278,65 @@ class TestParser:
         assert c.depth == 1
 
 
+def _entries(dim: int) -> str:
+    """The ``dim x dim`` identity as unitary-line entries."""
+    return " ".join("1+0i" if r == c else "0+0i" for r in range(dim) for c in range(dim))
+
+
+#: one broken rule per text, with the source line it must name.  The layer
+#: opens on line 3, a good gate sits on line 4, the faulty line is line 5.
+#: Rules of one gate line name that line; wires and the partition are checked
+#: when the layer closes, so they name the layer's line.
+_HEAD = "k 2\nwidth 3\nlayer\ngate I [0] -> [0]\n"
+PARSE_ERRORS = [
+    ("unknown gate", "gate FOO [1] -> [1]", 5, "unknown gate"),
+    ("gate fan-in above k", "gate TOFFOLI [0,1,2] -> [0,1,2]", 5, "fan-in 3 > declared k=2"),
+    ("unitary fan-in above k", f"unitary {_entries(8)} [0,1,2] -> [0,1,2]", 5, "fan-in 3"),
+    ("wrong entry count", "unitary 1+0i 0+0i [1] -> [1]", 5, "needs 4 entries, got 2"),
+    ("non-unitary matrix", "unitary 1+0i 0+0i 0+0i 0.5+0i [1] -> [1]", 5, "not unitary"),
+    ("unitary with more outputs", f"unitary {_entries(2)} [1] -> [1,2]", 5, "wired to outputs"),
+    ("bad complex entry", "unitary 1+0i x 0+0i 1+0i [1] -> [1]", 5, "bad complex entry"),
+    ("gate arity", "gate CNOT [1] -> [1]", 5, "takes 2 qubits"),
+    ("non-increasing gate wires", "gate CNOT [2,1] -> [1,2]", 3, "strictly increasing"),
+    ("non-increasing unitary wires", f"unitary {_entries(4)} [1,2] -> [2,1]", 3, "strictly"),
+    ("out-of-range index", "gate H [3] -> [3]", 3, "out of range"),
+    ("negative index", "gate H [-1] -> [1]", 3, "out of range"),
+    ("qubit claimed twice", "gate H [0] -> [0]", 3, "claimed by two"),
+    ("qubit claimed twice, closed by the next layer", "gate H [0] -> [0]\nlayer", 3, "claimed"),
+]
+
+
+class TestParserErrorLines:
+    @pytest.mark.parametrize(
+        "line,expected,match",
+        [row[1:] for row in PARSE_ERRORS],
+        ids=[row[0] for row in PARSE_ERRORS],
+    )
+    def test_each_rule_names_its_line(self, line, expected, match):
+        with pytest.raises(CircuitParseError, match=match) as err:
+            parse_circuit(_HEAD + line + "\n")
+        assert err.value.line == expected
+        assert str(err.value).startswith(f"line {expected}: ")
+
+    def test_uncovered_qubits_name_the_layer_line(self):
+        text = "k 2\nwidth 2\nlayer\ngate H [0] -> [0]\nlayer width 3\ngate CNOT [0,1] -> [0,1]\n"
+        with pytest.raises(CircuitParseError, match=r"output qubit\(s\) \[2\] are not") as err:
+            parse_circuit(text)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("k 2\nwidth 1000000000\nlayer\n", 2),
+            ("k 2\nwidth 1\nlayer width 1000000000\ngate PREP0 [] -> [0]\n", 3),
+        ],
+        ids=["header", "layer"],
+    )
+    def test_width_above_the_cap_is_a_resource_error(self, text, line):
+        with pytest.raises(ResourceLimitError, match=f"^line {line}: width 1000000000 exceeds"):
+            parse_circuit(text)
+
+
 #: valid circuits to mutate: library gates, unitary lines, width changes
 _FUZZ_SEEDS = [
     serialize_circuit(random_circuit(2, 3, 2, seed=4)),

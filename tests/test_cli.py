@@ -178,7 +178,7 @@ class TestSimulate:
             mat = np.array(levels[-1].mat)
             mat[0, 1] = mat[1, 0] = np.nan
             levels[-1] = DensityMatrix(1, mat)
-            return Trajectory(tuple(levels), eta=eta)
+            return Trajectory(tuple(levels))
 
         max_profile = decolab.analysis.max_profile
         raised_in = []
@@ -308,13 +308,6 @@ class TestSweep:
         depths = [int(r["min_depth"]) for r in rows]
         assert depths == sorted(depths)
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["sweep", "--k", "1,2", "--eta", "0.9,0.75", "--n", "1,4,16"]
-        assert main(args + ["--output", str(a)]) == 0
-        assert main(args + ["--jobs", "4", "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestCheck:
     def test_kraus_suite(self, capsys):
@@ -385,7 +378,6 @@ USAGE_ERRORS = [
     ["sweep", "--k", "2", "--eta", "0.8", "--n", "1", "--eps", "0"],
     ["sweep", "--k", "0", "--eta", "0.8", "--n", "1"],
     ["sweep", "--k", "2", "--eta", "0.8", "--n", "-1"],
-    ["sweep", "--k", "2", "--eta", "0.8", "--n", "1", "--jobs", "0"],
     ["sweep", "--k", "", "--eta", "0.8", "--n", "1"],
 ]
 
@@ -429,8 +421,8 @@ _OUTPUTS = st.sampled_from(["out.csv", "out.json", "", ".", "no/such/dir.csv"])
 _FORMATS = st.sampled_from(["csv", "json", "xml"])
 
 #: each subcommand's flags and their values (``None`` for a switch), bounded
-#: so that every run is short: the sizes, depths, trials and probe counts are
-#: small, and ``--jobs`` starts no worker
+#: so that every run is short: the sizes, depths, trials and probe counts
+#: are small
 _FLAGS = {
     "simulate": {
         "--circuit": st.sampled_from(CIRCUITS + ["missing.qc", "."]),
@@ -458,7 +450,6 @@ _FLAGS = {
         "--eta": st.lists(_REALS, max_size=3).map(",".join),
         "--n": st.lists(st.integers(-1, 50), max_size=3).map(lambda v: ",".join(map(str, v))),
         "--eps": _REALS,
-        "--jobs": _ints(-1, 4),
         "--output": _OUTPUTS,
         "--format": _FORMATS,
     },

@@ -118,15 +118,26 @@ class TestScripts:
         ],
     )
     def test_script_runs(self, script, args, header):
-        src = os.path.join(REPO, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, os.path.join(REPO, "scripts", script), *args],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[0] == header
+        assert _run_script(script, args).splitlines()[0] == header
+
+    def test_depth_scaling_prints_na_below_threshold(self):
+        out = _run_script("depth_scaling.py", ["--etas", "0.4,0.6", "--sizes", "1,4"])
+        rows = {line.split()[0]: line.split()[2:] for line in out.splitlines() if line.strip()}
+        assert rows["0.4"] == ["n/a", "n/a"]
+        assert rows["0.6"] == ["18", "30"]
+        assert "below-threshold" not in out
+
+
+def _run_script(script: str, args: list[str]) -> str:
+    src = os.path.join(REPO, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
