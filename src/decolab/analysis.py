@@ -37,8 +37,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .channels import depolarize_all
-from .circuit import Circuit, run_noisy
+from .channels import GATES, channel_validate, depolarize_all
+from .circuit import Circuit, CircuitLayer, PlacedGate, run_noisy
 from .config import ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
@@ -515,22 +515,56 @@ def default_probes(qubits: int, seed: int = 0) -> list[DensityMatrix]:
     return make_probes(f"random:{_RANDOM_PROBE_COUNT}", qubits, seed)
 
 
+#: largest ``max|K^dagger K - I|`` of a final-layer gate that the verdicts
+#: leave out as unitary.  Such a gate moves a verdict distance by at most
+#: about ``8e-14`` relative; Haar QR unitaries measure at most 1.5e-15 and
+#: the library gates 2.3e-16.  A gate within ``UNITARY_TOL`` but not within
+#: this is applied.
+_VERDICT_UNITARY_TOL = 1e-14
+
+
+def _unitary_free(layer: CircuitLayer) -> CircuitLayer:
+    """``layer`` with each unitary gate replaced by identity wires from its
+    ``inputs[i]`` to its ``outputs[i]``."""
+    gates: list[PlacedGate] = []
+    for g in layer.gates:
+        kraus = g.channel.kraus
+        square = g.channel.in_qubits == g.channel.out_qubits
+        if len(kraus) == 1 and square and channel_validate(g.channel) <= _VERDICT_UNITARY_TOL:
+            gates += (PlacedGate(GATES["I"], (i,), (o,)) for i, o in zip(g.inputs, g.outputs))
+        else:
+            gates.append(g)
+    return CircuitLayer(layer.in_width, layer.out_width, tuple(gates))
+
+
 def _final_states(
     circuit: Circuit, eta: float, probes: Sequence[DensityMatrix] | None, seed: int
 ) -> tuple[DensityMatrix, ...]:
-    """Each probe's final state, keeping no other level of its run; the
-    probes default to :func:`default_probes` of the input width.  The circuit
-    keeps the last call's ``(eta, probes, finals)``, and a call with an equal
-    ``eta`` and as many probes, each the same or with an equal matrix, reuses
-    those write-locked states of a deterministic run: bitwise a new run's."""
+    """Each probe's final state up to one unitary on the output register,
+    keeping no other level of its run; the probes default to
+    :func:`default_probes` of the input width.
+
+    The probes run through every layer but the last as they are, and through
+    the last with its unitary gates left out (:func:`_unitary_free`): no
+    noise follows that layer, so its unitaries make one tensor-product
+    unitary ``V`` on the outputs, and ``V`` changes neither a trace distance
+    nor the distance to ``V (I/d) V^dagger = I/d``.  The circuit keeps that
+    derived circuit, whose last layer compiles once, and the last call's
+    ``(eta, probes, finals)``; a call with an equal ``eta`` and as many
+    probes, each the same or with an equal matrix, reuses those write-locked
+    states of a deterministic run: bitwise a new run's."""
     probes = tuple(default_probes(circuit.in_width, seed) if probes is None else probes)
-    memo = vars(circuit).get("_verdict_finals")  # frozen: cache in __dict__
+    cache = vars(circuit)  # frozen: cache in __dict__
+    memo = cache.get("_verdict_finals")
     if memo and memo[0] == eta and len(memo[1]) == len(probes) and all(
         a is b or np.array_equal(a.mat, b.mat) for a, b in zip(memo[1], probes)
     ):
         return memo[2]
-    finals = tuple(run_noisy(circuit, eta, p).levels[-1] for p in probes)
-    vars(circuit)["_verdict_finals"] = (eta, probes, finals)
+    if "_verdict_circuit" not in cache:  # the last layer, if any, unitary-free
+        layers = circuit.layers[:-1] + tuple(_unitary_free(last) for last in circuit.layers[-1:])
+        cache["_verdict_circuit"] = Circuit(circuit.k, circuit.in_width, layers)
+    finals = tuple(run_noisy(cache["_verdict_circuit"], eta, p).levels[-1] for p in probes)
+    cache["_verdict_finals"] = (eta, probes, finals)
     return finals
 
 
@@ -559,9 +593,12 @@ def practically_worthless(
     A distance above ``eps`` soundly witnesses that the circuit still
     computes something; a distance within ``eps`` certifies collapse only on
     the probe set (no maximization over all input states is attempted).
-    The circuit keeps the final states of its last verdict's probe set, so
-    :func:`worthless` on the same ``eta`` and probes reuses them bitwise; they
-    hold one probe set and its finals until the circuit is freed.
+    The final layer's unitary gates are not applied: no noise follows them,
+    and a unitary on the outputs keeps every trace distance, so the result
+    is the full run's (see :func:`_final_states`).  The circuit keeps the
+    final states of its last verdict's probe set, so :func:`worthless` on
+    the same ``eta`` and probes reuses them bitwise; they hold one probe set
+    and its finals until the circuit is freed.
     """
     finals = _final_states(circuit, eta, probes, seed)
     worst = _largest(trace_distance(a, b) for a, b in itertools.combinations(finals, 2))
@@ -580,7 +617,9 @@ def worthless(
     Same probe semantics as :func:`practically_worthless`, and the same
     final states, reused bitwise when that verdict just ran on this circuit
     with an equal ``eta`` and probes; by the triangle inequality this
-    implies the pairwise notion at twice the tolerance.
+    implies the pairwise notion at twice the tolerance.  The final layer's
+    unitary gates are left out here too: a unitary ``V`` on the outputs
+    keeps the distance to ``V (I/d) V^dagger = I/d``.
     """
     finals = _final_states(circuit, eta, probes, seed)
     worst = 0.0

@@ -127,7 +127,9 @@ class _LayerPlan:
     multi-Kraus gate as ``(din, dout, blocks)``, where ``blocks`` lists per
     output block ``(o, p)`` the nonzero entries ``(a, b, S[o, p, a, b])`` of
     ``S = sum K (x) conj(K)``.  ``groups`` are the single-Kraus gates fused
-    into Kronecker products of side at most ``_FUSE_MAX_SIDE``.
+    into Kronecker products of side at most ``_FUSE_MAX_SIDE``; gates whose
+    Kraus operator is exactly the identity come last in block order and
+    join no group, so they cost no row pass.
     """
 
     in_perm: tuple[int, ...]
@@ -147,9 +149,22 @@ def _superoperator_blocks(kraus: Sequence[np.ndarray]) -> tuple:
     )
 
 
+def _is_identity(channel: QuantumChannel) -> bool:
+    """One Kraus operator, exactly a square identity; ``PREP0``'s ket equals
+    ``eye(2, 1)``, so squareness is checked first."""
+    k = channel.kraus[0]
+    square = k.shape[0] == k.shape[1]
+    return len(channel.kraus) == 1 and square and np.array_equal(k, np.eye(len(k)))
+
+
 def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
     gates = sorted(
-        layer.gates, key=lambda g: (len(g.channel.kraus) == 1, len(g.outputs) - len(g.inputs))
+        layer.gates,
+        key=lambda g: (
+            len(g.channel.kraus) == 1,
+            _is_identity(g.channel),
+            len(g.outputs) - len(g.inputs),
+        ),
     )
     supers = tuple(
         (2**g.channel.in_qubits, 2**g.channel.out_qubits, _superoperator_blocks(g.channel.kraus))
@@ -158,6 +173,8 @@ def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
     )
     groups: list[np.ndarray] = []
     for g in gates[len(supers) :]:
+        if _is_identity(g.channel):
+            break  # the identities trail the block order
         k = g.channel.kraus[0]
         if groups and max(a * b for a, b in zip(groups[-1].shape, k.shape)) <= _FUSE_MAX_SIDE:
             groups[-1] = np.kron(groups[-1], k)
@@ -247,11 +264,14 @@ class Trajectory:
 
 
 def _row_side(mat: np.ndarray, ops: Sequence[np.ndarray], pre: int) -> np.ndarray:
-    """Left-multiply the row factors after the first ``pre`` rows by ``ops``."""
+    """Left-multiply the row factors after the first ``pre`` rows by ``ops``;
+    row factors after the last op are left as they are."""
+    rows = mat.shape[0]
     for k in ops:
         mat = np.matmul(k, mat.reshape(pre, k.shape[1], -1))
         pre *= k.shape[0]
-    return mat.reshape(pre, -1)
+        rows = rows // k.shape[1] * k.shape[0]
+    return mat.reshape(rows, -1)
 
 
 def _superoperator_side(
@@ -303,9 +323,10 @@ def apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
     come first in block order, shrinking ones first of all, each applied as
     block copies and adds over its superoperator's nonzero entries; the
     single-Kraus rest runs as one row matmul per fused group, a transposed
-    copy and the conjugate groups (:func:`_layer_kernel`).  That leaves the
-    transpose of the result, and since :func:`settle` of a transpose is its
-    conjugate, one in-place conjugation undoes it at the end.
+    copy and the conjugate groups (:func:`_layer_kernel`); an exact identity
+    gate, such as the parser's implicit ``I`` wire, only moves its qubit.
+    That leaves the transpose of the result, and since :func:`settle` of a
+    transpose is its conjugate, one in-place conjugation undoes it at the end.
     """
     if rho.qubits != layer.in_width:
         raise CircuitError(

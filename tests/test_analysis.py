@@ -28,7 +28,7 @@ from decolab.analysis import (
     theta_and_threshold,
     worthless,
 )
-from decolab.channels import GATES
+from decolab.channels import GATES, channel_from_unitary, channel_validate, random_channel
 from decolab.circuit import (
     Circuit,
     CircuitLayer,
@@ -38,9 +38,10 @@ from decolab.circuit import (
     random_circuit,
     run_noisy,
 )
-from decolab.config import ResourceLimitError
+from decolab.config import UNITARY_TOL, ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
+    haar_unitary,
     limit_blas_threads,
     random_density,
     random_pure_state,
@@ -674,7 +675,93 @@ class TestNoiseAction:
             assert check_noise_action(ghz, b, 0.7) < 1e-12
 
 
+def _final_layer(kind: str, rng: np.random.Generator) -> tuple[CircuitLayer, set]:
+    """A last layer on 5 qubits of the named mix, and the gates that the
+    verdicts must still apply: all but the exactly unitary ones."""
+
+    def haar(qubits):
+        return channel_from_unitary(haar_unitary(qubits, rng))
+
+    # within UNITARY_TOL, but with a residual of about 1e-11
+    near = channel_from_unitary(haar_unitary(1, rng) * (1 + 5e-12), label="NEAR")
+    assert 5e-12 < channel_validate(near) < UNITARY_TOL
+    kept, left_out = True, False
+    wired = {
+        "unitaries": [  # in place and wire-moving
+            (haar(2), (0, 2), (0, 2), left_out),
+            (haar(1), (1,), (3,), left_out),
+            (GATES["CNOT"], (3, 4), (1, 4), left_out),
+        ],
+        "channels": [
+            (random_channel(1, 1, 1, rng), (0,), (0,), left_out),
+            (random_channel(1, 1, 2, rng), (1,), (1,), kept),
+            (GATES["DEPHASE"], (2,), (2,), kept),
+            (near, (3,), (3,), kept),
+            (GATES["H"], (4,), (4,), left_out),
+        ],
+        "refresh": [
+            (GATES["TRACEOUT"], (0,), (), kept),
+            (GATES["PREP0"], (), (0,), kept),
+            (GATES["TRACEOUT"], (4,), (), kept),
+            (GATES["PREP_PLUS"], (), (4,), kept),
+            (GATES["CNOT"], (1, 3), (1, 3), left_out),
+            (haar(1), (2,), (2,), left_out),
+        ],
+        "shrinking": [  # to 3 qubits
+            (GATES["TRACEOUT"], (0,), (), kept),
+            (GATES["TRACEOUT"], (4,), (), kept),
+            (haar(1), (1,), (0,), left_out),
+            (GATES["CNOT"], (2, 3), (1, 2), left_out),
+        ],
+        "growing": [  # to 6 qubits, through a one-term isometry
+            (GATES["H"], (0,), (5,), left_out),
+            (random_channel(1, 2, 1, rng), (1,), (0, 1), kept),
+            (GATES["PREP_PLUS"], (), (2,), kept),
+            (GATES["SWAP"], (2, 3), (3, 4), left_out),
+            (GATES["TRACEOUT"], (4,), (), kept),
+        ],
+    }[kind]
+    gates = [PlacedGate(c, i, o) for c, i, o, _ in wired]
+    layer = CircuitLayer(5, sum(len(g.outputs) for g in gates), tuple(gates))
+    return layer, {g for g, (*_, keep) in zip(gates, wired) if keep}
+
+
 class TestWorthlessness:
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("kind", ["unitaries", "channels", "refresh", "shrinking", "growing"])
+    def test_verdicts_leave_out_the_last_layers_unitaries_exactly(self, kind, depth):
+        rng = np.random.default_rng(len(kind) + depth)
+        last, kept = _final_layer(kind, rng)
+        body = mixed_circuit(rng, 5, depth - 1).layers if depth > 1 else ()
+        c = Circuit(k=2, in_width=5, layers=(*body, last))
+        probes = make_probes("random:3", 5, depth)
+        for given_probes, oracle_probes in ((probes, probes), (None, make_probes("basis", 5))):
+            pairwise, mixed = dense_verdicts(c, 0.3, oracle_probes)
+            got_pairwise = practically_worthless(c, 0.3, probes=given_probes)[1]
+            got_mixed = worthless(c, 0.3, probes=given_probes)[1]
+            assert got_pairwise == pytest.approx(pairwise, abs=1e-12)
+            assert got_mixed == pytest.approx(mixed, abs=1e-12)
+        derived = vars(c)["_verdict_circuit"]
+        assert derived.layers[:-1] == c.layers[:-1] and derived.widths == c.widths
+        # the near-unitary and every non-unitary gate stay; identity wires
+        # from inputs[i] to outputs[i] replace the rest
+        wires = [g for g in derived.layers[-1].gates if g not in kept]
+        assert kept <= set(derived.layers[-1].gates)
+        assert all(g.channel is GATES["I"] for g in wires)
+        assert sorted((g.inputs, g.outputs) for g in wires) == sorted(
+            ((i,), (o,)) for g in last.gates if g not in kept for i, o in zip(g.inputs, g.outputs)
+        )
+
+    def test_depth_zero_verdicts_match_the_full_run(self):
+        c = Circuit(k=1, in_width=2, layers=())
+        probes = make_probes("random:3", 2, 0)
+        for given_probes, oracle_probes in ((probes, probes), (None, make_probes("basis", 2))):
+            pairwise, mixed = dense_verdicts(c, 0.3, oracle_probes)
+            assert practically_worthless(c, 0.3, probes=given_probes)[1] == pytest.approx(
+                pairwise, abs=1e-12
+            )
+            assert worthless(c, 0.3, probes=given_probes)[1] == pytest.approx(mixed, abs=1e-12)
+
     def test_depth_zero_circuit_is_not_worthless(self):
         c = Circuit(k=1, in_width=1, layers=())
         flag, dist = practically_worthless(c, 0.9)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,16 @@ class TestParserFuzz:
         with pytest.raises(CircuitParseError):
             parse_circuit(text)
 
+    @pytest.mark.parametrize("entry", ["1e200+0i", "1e155+1e155i", "nan+0i"])
+    def test_overflowing_unitary_is_a_parse_error_and_no_warning(self, entry):
+        # u^dagger u overflows to an inf or NaN residual; neither may pass
+        text = f"k 1\nwidth 1\nlayer\n\nunitary {entry} 0+0i 0+0i 1+0i [0] -> [0]\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CircuitParseError, match="^line 5: matrix is not unitary") as info:
+                parse_circuit(text)
+        assert info.value.line == 5
+
 
 class TestSerialization:
     def test_roundtrip_named_gates(self):
@@ -627,6 +638,62 @@ class TestLayerApplication:
         # two 4 x 4 unitaries exceed the cap; a 4 x 4 and a 2 x 2 reach it,
         # and a 2 x 2 takes both preparations
         assert [k.shape for k in layer._plan.groups] == [(4, 4), (8, 8), (8, 2)]
+        assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
+
+    def test_implicit_identity_wires_add_no_factor(self, rng):
+        c = parse_circuit("k 2\nwidth 6\nlayer\ngate H [1] -> [1]\ngate CNOT [2,4] -> [2,4]\n")
+        layer = c.layers[0]
+        assert [g.inputs for g in layer.gates if g.channel is GATES["I"]] == [(0,), (3,), (5,)]
+        plan = layer._plan
+        # H and CNOT fuse into one group; the I wires trail the block order, in no group
+        assert plan.in_perm == (1, 2, 4, 0, 3, 5)
+        assert len(plan.groups) == 1
+        assert np.array_equal(plan.groups[0], np.kron(GATES["H"].kraus[0], GATES["CNOT"].kraus[0]))
+        rho = random_density(6, rng)
+        assert np.max(np.abs(apply_layer(layer, rho).mat - assembled_layer_oracle(layer, rho))) < 1e-12
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "all"])
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_identity_gates_anywhere_match_the_assembled_tensor(self, width, where):
+        """Identity wires, some moving their qubit, first, in the middle or
+        last in the gate list, beside unitaries, ``DEPHASE`` and a
+        preparation; or a layer of identity wires only."""
+        rng = np.random.default_rng(10 * width + len(where))
+        qubits = [int(q) for q in rng.permutation(width)]
+        cut = width if where == "all" else int(rng.integers(1, width + 1))
+        identities = [(GATES["I"], (q,)) for q in qubits[:cut]]
+        others, rest = [], qubits[cut:]
+        while rest:
+            size = int(rng.integers(1, min(2, len(rest)) + 1))
+            block, rest = tuple(sorted(rest[:size])), rest[size:]
+            if size == 1 and rng.random() < 0.3:
+                others.append((GATES["DEPHASE"], block))
+            else:
+                others.append((channel_from_unitary(haar_unitary(size, rng)), block))
+        if where != "all":
+            others.append((GATES["PREP_PLUS"], ()))
+        half = len(others) // 2
+        wired = {
+            "first": identities + others,
+            "middle": others[:half] + identities + others[half:],
+            "last": others + identities,
+            "all": identities,
+        }[where]
+        out_width = sum(c.out_qubits for c, _ in wired)
+        slots = [int(q) for q in rng.permutation(out_width)]
+        gates = []
+        for channel, block in wired:
+            outs, slots = tuple(sorted(slots[: channel.out_qubits])), slots[channel.out_qubits :]
+            gates.append(PlacedGate(channel, block, outs))
+        layer = CircuitLayer(width, out_width, tuple(gates))
+        # the groups span exactly the non-identity single-Kraus gates
+        fused = [c for c, _ in others if len(c.kraus) == 1]
+        assert np.prod([k.shape[1] for k in layer._plan.groups]) == 2 ** sum(
+            c.in_qubits for c in fused
+        )
+        rho = random_density(width, rng)
+        fast = apply_layer(layer, rho)
+        assert fast.qubits == out_width
         assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
 
     @pytest.mark.parametrize(
