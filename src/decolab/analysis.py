@@ -696,6 +696,10 @@ def distance_report(
     depth = circuit.depth
     series = f_series(circuit.k, eta, noise_rounds_at_level(depth, depth, extra_noise_round))
     levels = [[t.levels[level] for t in trajectories] for level in range(depth + 1)]
+    # build every matrix here, so that the pool's threads never convert a
+    # state and the matrices share this thread's malloc arena
+    for state in itertools.chain.from_iterable(levels):
+        state.mat
     workers = _report_workers()
     # levels are independent once the trajectories exist, and LAPACK drops
     # the GIL; results come back in level order

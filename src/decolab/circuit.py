@@ -33,13 +33,13 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .channels import GATES, QuantumChannel, channel_from_unitary, depolarize_all
-from .config import ResourceLimitError, max_qubits
-from .linalg import DensityMatrix, haar_unitary, permute_matrix, settle
+from .config import TRACE_RENORM_LIMIT, ResourceLimitError, max_qubits
+from .linalg import _LEG_TO_MATRIX, _LEG_TO_PAULI, DensityMatrix, haar_unitary, leg_products
 
 __all__ = [
     "Circuit",
@@ -91,16 +91,19 @@ class PlacedGate:
                 f"gate {self.channel.label or '?'} emits {self.channel.out_qubits} "
                 f"qubits but is wired to outputs {self.outputs}"
             )
+        for what, wires in (("input", self.inputs), ("output", self.outputs)):
+            if any(a >= b for a, b in zip(wires, wires[1:])):
+                raise CircuitError(f"{what} subset {wires} must be strictly increasing")
+            if wires and wires[0] < 0:
+                raise CircuitError(f"{what} index {wires[0]} out of range: indices are >= 0")
 
 
 def _check_partition(sets: Iterable[tuple[int, ...]], width: int, what: str) -> None:
-    """Strictly increasing index lists that cover ``range(width)`` once."""
+    """Index lists, each a :class:`PlacedGate`'s, that cover ``range(width)`` once."""
     seen: set[int] = set()
     for s in sets:
-        if any(a >= b for a, b in zip(s, s[1:])):
-            raise CircuitError(f"{what} subset {s} must be strictly increasing")
         for q in s:
-            if not 0 <= q < width:
+            if q >= width:
                 raise CircuitError(f"{what} index {q} out of range for width {width}")
             if q in seen:
                 raise CircuitError(f"{what} qubit {q} is claimed by two gates")
@@ -110,82 +113,58 @@ def _check_partition(sets: Iterable[tuple[int, ...]], width: int, what: str) -> 
         raise CircuitError(f"{what} qubit(s) {missing} are not covered by any gate")
 
 
-#: largest side of a fused group of single-Kraus gates.  One row matmul
-#: over the whole matrix costs about the same for any small factor (width 9,
-#: one BLAS thread, x86_64: 0.53 ms for d = 2, 0.62 ms for d = 4, 0.72 ms
-#: for d = 8), so merging neighbouring gates into one Kronecker product saves
-#: whole passes; d = 16 took 1.04 ms and gained nothing measurable per layer
-_FUSE_MAX_SIDE = 8
-
-
 @dataclass(frozen=True, eq=False)
 class _LayerPlan:
-    """What :func:`apply_layer` needs of a layer, compiled once.
-
-    ``in_perm`` lists the input qubits in block order and ``out_perm`` is
-    the permutation back from the output block order.  ``supers`` holds each
-    multi-Kraus gate as ``(din, dout, blocks)``, where ``blocks`` lists per
-    output block ``(o, p)`` the nonzero entries ``(a, b, S[o, p, a, b])`` of
-    ``S = sum K (x) conj(K)``.  ``groups`` are the single-Kraus gates fused
-    into Kronecker products of side at most ``_FUSE_MAX_SIDE``; gates whose
-    Kraus operator is exactly the identity come last in block order and
-    join no group, so they cost no row pass.
-    """
+    """What :func:`apply_layer` needs of a layer, compiled once: the transfer
+    matrix of each gate but the exact identities, shrinking gates first and
+    growing ones last, and the leg permutations into an order in which each
+    gate's legs trail when it runs (the identities' first) and back."""
 
     in_perm: tuple[int, ...]
     out_perm: tuple[int, ...]
-    supers: tuple[tuple[int, int, tuple], ...]
-    groups: tuple[np.ndarray, ...]
-    conj_groups: tuple[np.ndarray, ...]
+    transfers: tuple[np.ndarray, ...]
 
 
-def _superoperator_blocks(kraus: Sequence[np.ndarray]) -> tuple:
-    dout, din = kraus[0].shape
-    s = sum(np.kron(k, k.conj()) for k in kraus).reshape(dout, dout, din, din)
-    return tuple(
-        (o, p, tuple((a, b, complex(s[o, p, a, b])) for a, b in np.argwhere(s[o, p]).tolist()))
-        for o in range(dout)
-        for p in range(dout)
-    )
-
-
-def _is_identity(channel: QuantumChannel) -> bool:
-    """One Kraus operator, exactly a square identity; ``PREP0``'s ket equals
-    ``eye(2, 1)``, so squareness is checked first."""
-    k = channel.kraus[0]
-    square = k.shape[0] == k.shape[1]
-    return len(channel.kraus) == 1 and square and np.array_equal(k, np.eye(len(k)))
+def _transfer_matrix(channel: QuantumChannel) -> np.ndarray:
+    """``R[i, j] = tr(P_i Phi(Q_j)) / 2**kin`` over the output Paulis ``P_i``
+    and the input Paulis ``Q_j``: one leg map per qubit on ``sum_K K (x)
+    conj(K)``, which maps row-major matrix entries to their image's.  ``R``
+    holds ``4**(kin + kout)`` numbers: no more than a state at the width cap."""
+    kin, kout = channel.in_qubits, channel.out_qubits
+    _capped_width(kin + kout, f"gate {channel.label or '?'}: fan-in plus fan-out, as a ")
+    legs = [a for q in range(kout) for a in (q, kout + q)]
+    legs += [2 * kout + a for q in range(kin) for a in (q, kin + q)]
+    y = np.array([[1], [1], [1j], [1]])  # the i of Y, left out of linalg's real leg maps
+    ops = [_LEG_TO_MATRIX.T * y] * kin + [_LEG_TO_PAULI * y] * kout
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite R raises in the caller
+        s = sum(np.kron(k, k.conj()) for k in channel.kraus).reshape((2,) * 2 * (kin + kout))
+        r = leg_products(s.transpose(legs), ops)
+    return np.ascontiguousarray(r.real).reshape(4**kout, 4**kin)
 
 
 def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
-    gates = sorted(
-        layer.gates,
-        key=lambda g: (
-            len(g.channel.kraus) == 1,
-            _is_identity(g.channel),
-            len(g.outputs) - len(g.inputs),
-        ),
-    )
-    supers = tuple(
-        (2**g.channel.in_qubits, 2**g.channel.out_qubits, _superoperator_blocks(g.channel.kraus))
-        for g in gates
-        if len(g.channel.kraus) > 1
-    )
-    groups: list[np.ndarray] = []
-    for g in gates[len(supers) :]:
-        if _is_identity(g.channel):
-            break  # the identities trail the block order
-        k = g.channel.kraus[0]
-        if groups and max(a * b for a, b in zip(groups[-1].shape, k.shape)) <= _FUSE_MAX_SIDE:
-            groups[-1] = np.kron(groups[-1], k)
-        else:
-            groups.append(k)
+    """The layer's plan.  A trace-preserving channel's first row is ``e_0``:
+    a row off it by more than ``TRACE_RENORM_LIMIT``, or a non-finite entry,
+    raises ``ArithmeticError``, and a smaller drift is pinned to ``e_0``, so
+    every state's ``c_I`` stays exactly 1."""
+    idle, moving = [], []
+    for g in sorted(layer.gates, key=lambda g: len(g.outputs) - len(g.inputs)):
+        r = _transfer_matrix(g.channel)
+        if np.array_equal(r, np.eye(len(r))):
+            idle.append(g)
+            continue
+        e0 = np.eye(1, r.shape[1])[0]
+        drift = float(np.max(np.abs(r[0] - e0)))
+        if not (drift <= TRACE_RENORM_LIMIT and np.isfinite(r).all()):
+            label = g.channel.label or "?"
+            raise ArithmeticError(f"gate {label}: trace drifted by {drift!r}, not renormalized")
+        r[0] = e0
+        moving.append((g, r))
+    blocks = [g for g, _ in reversed(moving)]
     return _LayerPlan(
-        in_perm=tuple(q for g in gates for q in g.inputs),
-        out_perm=tuple(np.argsort([q for g in gates for q in g.outputs]).tolist()),
-        supers=supers,
-        groups=tuple(groups),
-        conj_groups=tuple(k.conj() for k in groups),
+        in_perm=tuple(q for g in idle + blocks for q in g.inputs),
+        out_perm=tuple(np.argsort([q for g in blocks + idle for q in g.outputs]).tolist()),
+        transfers=tuple(r for _, r in moving),
     )
 
 
@@ -263,80 +242,21 @@ class Trajectory:
         object.__setattr__(self, "levels", tuple(self.levels))
 
 
-def _row_side(mat: np.ndarray, ops: Sequence[np.ndarray], pre: int) -> np.ndarray:
-    """Left-multiply the row factors after the first ``pre`` rows by ``ops``;
-    row factors after the last op are left as they are."""
-    rows = mat.shape[0]
-    for k in ops:
-        mat = np.matmul(k, mat.reshape(pre, k.shape[1], -1))
-        pre *= k.shape[0]
-        rows = rows // k.shape[1] * k.shape[0]
-    return mat.reshape(rows, -1)
-
-
-def _superoperator_side(
-    mat: np.ndarray, blocks: tuple, pre: int, din: int, dout: int
-) -> np.ndarray:
-    """A channel on the factor after ``pre`` done dims of both rows and
-    columns, from its superoperator's nonzero entries: output block
-    ``(o, p)`` of the factor is the sum of input blocks ``(a, b)`` scaled by
-    ``S[o, p, a, b]``, a block copy or add where the entry is 1."""
-    suf = mat.shape[0] // (pre * din)
-    src = mat.reshape(pre, din, suf, pre, din, suf)
-    buf = np.empty((pre * dout * suf,) * 2, dtype=np.complex128)
-    out = buf.reshape(pre, dout, suf, pre, dout, suf)
-    for o, p, terms in blocks:
-        block = out[:, o, :, :, p, :]
-        if not terms:
-            block[...] = 0.0
-        for i, (a, b, s) in enumerate(terms):
-            part = src[:, a, :, :, b, :] if s == 1.0 else s * src[:, a, :, :, b, :]
-            if i:
-                block += part
-            else:
-                block[...] = part
-    return buf
-
-
-def _layer_kernel(plan: _LayerPlan, mat: np.ndarray) -> np.ndarray:
-    """The layer's channel on a square matrix in block order, transposed.
-
-    The multi-Kraus gates come first in block order, each a
-    :func:`_superoperator_side`.  For the fused single-Kraus groups, ``A M``
-    is formed as row operations, transposed once, and ``conj(A)`` applied as
-    row operations: that is ``Y^T`` for ``Y = A M A^dagger``.
-    """
-    pre = 1
-    for din, dout, blocks in plan.supers:
-        mat = _superoperator_side(mat, blocks, pre, din, dout)
-        pre *= dout
-    mat = _row_side(mat, plan.groups, pre).T.copy()
-    return _row_side(mat, plan.conj_groups, pre)
-
-
 def apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
-    """One layer: permute into block order, run the layer's plan, permute back.
-
-    The plan is compiled once per layer, at its first application (see
-    ``_compile_layer``).  The layer is a tensor product on disjoint qubits,
-    so gate order is free: multi-Kraus gates (``DEPHASE``, ``TRACEOUT``)
-    come first in block order, shrinking ones first of all, each applied as
-    block copies and adds over its superoperator's nonzero entries; the
-    single-Kraus rest runs as one row matmul per fused group, a transposed
-    copy and the conjugate groups (:func:`_layer_kernel`); an exact identity
-    gate, such as the parser's implicit ``I`` wire, only moves its qubit.
-    That leaves the transpose of the result, and since :func:`settle` of a
-    transpose is its conjugate, one in-place conjugation undoes it at the end.
+    """One layer on the state's Pauli coefficients: one transpose into the
+    plan's leg order, one matrix product per transfer matrix, one transpose
+    back.  The plan is compiled at the layer's first application.  An exact
+    identity gate, such as the parser's implicit ``I`` wire, only moves its
+    leg, so a layer of them costs one copy; the result is always fresh.
     """
     if rho.qubits != layer.in_width:
         raise CircuitError(
             f"layer expects {layer.in_width} qubits, state has {rho.qubits}"
         )
     plan = layer._plan
-    mat = _layer_kernel(plan, permute_matrix(rho.mat, plan.in_perm))
-    mat = settle(permute_matrix(mat, plan.out_perm))
-    np.conjugate(mat, out=mat)
-    return DensityMatrix._adopt(layer.out_width, mat)
+    x = leg_products(rho.pauli.reshape((4,) * rho.qubits).transpose(plan.in_perm), plan.transfers)
+    coeffs = x.reshape((4,) * layer.out_width).transpose(plan.out_perm).flatten()
+    return DensityMatrix._from_pauli(layer.out_width, coeffs)
 
 
 def run_noisy(

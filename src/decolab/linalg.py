@@ -1,17 +1,20 @@
-"""Dense complex linear algebra for qubit registers.
+"""Dense linear algebra for qubit registers.
 
-States are density matrices (Hermitian, PSD, trace 1) stored dense; qubit 0
-is the most significant tensor factor, so basis index ``b`` encodes the bit
-string ``b_0 b_1 ... b_{n-1}`` read left to right.  All functions are pure
-and all values are treated as immutable (matrix buffers are write-locked).
+States are density matrices (Hermitian, PSD, trace 1); qubit 0 is the most
+significant tensor factor, so basis index ``b`` encodes the bit string
+``b_0 b_1 ... b_{n-1}`` read left to right.  The simulator holds a state as
+its ``4**n`` real Pauli coefficients ``c_P = tr(P rho)``, one leg per qubit
+indexed ``(I, X, Y, Z)``, qubit 0 leading, and the analysis reads matrices;
+this module owns both layouts and the conversions.  All functions are pure
+and all values are treated as immutable (buffers are write-locked).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,11 +27,13 @@ __all__ = [
     "check_subset",
     "haar_unitary",
     "hermitian_eigenvalues",
+    "leg_products",
     "limit_blas_threads",
     "partial_trace",
+    "pauli_coefficients",
+    "pauli_matrices",
     "random_density",
     "random_pure_state",
-    "settle",
     "trace_distance",
 ]
 
@@ -54,31 +59,28 @@ def _qubits_for_dim(dim: int) -> int:
     return n
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+def _locked(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True, repr=False)
 class DensityMatrix:
     """An ``n``-qubit mixed state: Hermitian, PSD, trace-1 matrix of dim ``2**n``.
 
     The zero-qubit state is the 1x1 matrix ``[[1]]`` (a scalar register),
-    which is what fan-in-0 preparation gates consume.
+    which is what fan-in-0 preparation gates consume.  A state holds one
+    form: a state given as a matrix converts it on each read of
+    :attr:`pauli`, and one the simulator made keeps its coefficients until
+    the first read of :attr:`mat` replaces them with the matrix.
     """
 
-    qubits: int
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _as_square(self.mat, "state matrix")
-        if self.qubits < 0 or m.shape[0] != 2**self.qubits:
+    def __init__(self, qubits: int, mat: np.ndarray) -> None:
+        m = _as_square(mat, "state matrix")
+        if qubits < 0 or m.shape[0] != 2**qubits:
             raise ValueError(
-                f"state with {self.qubits} qubits needs dim {2**max(self.qubits, 0)}, "
-                f"got {m.shape[0]}"
+                f"state with {qubits} qubits needs dim {2**max(qubits, 0)}, got {m.shape[0]}"
             )
-        object.__setattr__(self, "mat", _frozen(m))
+        self._qubits, self._mat, self._pauli = qubits, _locked(m.copy()), None
 
     def __repr__(self) -> str:  # matrices are noise in tracebacks
         return f"DensityMatrix(qubits={self.qubits})"
@@ -88,10 +90,49 @@ class DensityMatrix:
         """Write-lock a buffer its caller just allocated and never writes again."""
         if buf.dtype != np.complex128 or buf.shape != (2**qubits,) * 2 or not buf.flags.owndata:
             raise ValueError(f"cannot adopt a {buf.dtype} {buf.shape} buffer as {qubits} qubits")
-        buf.setflags(write=False)
         state = object.__new__(cls)
-        vars(state).update(qubits=qubits, mat=buf)  # frozen: bypass __setattr__
+        state._qubits, state._mat, state._pauli = qubits, _locked(buf), None
         return state
+
+    @classmethod
+    def _from_pauli(cls, qubits: int, coeffs: np.ndarray) -> "DensityMatrix":
+        """Adopt fresh real coefficients, as :meth:`_adopt` a matrix."""
+        state = object.__new__(cls)
+        state._qubits, state._mat, state._pauli = qubits, None, _locked(coeffs)
+        return state
+
+    @property
+    def qubits(self) -> int:
+        return self._qubits
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The density matrix, write-locked.  Built from real coefficients,
+        it is exactly Hermitian: ``m == m.conj().T`` bitwise."""
+        c, m = self._pauli, self._mat  # in this order: ``_mat`` is set before ``_pauli`` clears
+        if m is None:
+            m = self._mat = _locked(pauli_matrices(c))
+            self._pauli = None
+        return m
+
+    @property
+    def pauli(self) -> np.ndarray:
+        """The ``4**n`` real coefficients ``c_P = tr(P rho)``, write-locked.
+
+        A matrix is converted and divided by ``c_I``, so ``c_I`` is exactly
+        1; a trace further than ``TRACE_RENORM_LIMIT`` from 1 raises
+        ``ArithmeticError`` instead, as does a non-finite entry anywhere: the
+        products by 0 in the conversion carry it into ``c_I`` as NaN.
+        """
+        if (c := self._pauli) is not None:  # read once: another thread may clear it
+            return c
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries raise below
+            c = pauli_coefficients(self._mat)
+        trace = float(c[0])
+        if not abs(trace - 1.0) <= TRACE_RENORM_LIMIT:  # a NaN trace fails this too
+            raise ArithmeticError(f"state trace drifted to {trace!r}; refusing to renormalize")
+        c /= c[0]
+        return _locked(c)
 
     @classmethod
     def basis_state(cls, qubits: int, index: int) -> "DensityMatrix":
@@ -131,23 +172,61 @@ def check_subset(indices: Iterable[int], qubits: int) -> tuple[int, ...]:
     return idx
 
 
-def settle(mat: np.ndarray) -> np.ndarray:
-    """Damp floating-point drift after a channel application.
+#: one leg from its entries ``m[r, c]``, ``rc = 00, 01, 10, 11``, to ``(I,
+#: X, Y, Z)`` and back, real: ``Y = i [[0, -1], [1, 0]]`` leaves its ``i``
+#: to :func:`_y_signs`; ``tr(P m)`` reads ``P[c, r]``, ``m`` takes ``P[r, c]/2``
+_LEG_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], dtype=float)
+_LEG_TO_MATRIX = np.array([[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1]]) / 2
 
-    Re-symmetrizes to the Hermitian part and renormalizes the trace, but only
-    if the drift is small (|trace - 1| <= 1e-6); larger drift or a non-finite
-    trace signals a real bug and raises instead of being masked.  Returns a
-    fresh array.
+
+@functools.lru_cache(maxsize=2)
+def _y_signs(qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """By the number ``m`` of ``Y`` legs of each Pauli string on ``qubits``
+    legs: ``(Re + Im)(i**m) / 2`` (the half :func:`pauli_matrices`
+    symmetrizes with) and ``(Re - Im)(i**m)``, exact in ``float32``."""
+    ys = functools.reduce(np.add.outer, [np.array([0, 0, 1, 0], np.int8)] * qubits, np.int8(0))
+    ys = np.reshape(ys % 4, -1)
+    to_matrix, to_pauli = np.array([[0.5, 0.5, -0.5, -0.5], [1, -1, -1, 1]], dtype=np.float32)
+    return _locked(to_matrix[ys]), _locked(to_pauli[ys])
+
+
+def leg_products(x: np.ndarray, ops: Iterable[np.ndarray]) -> np.ndarray:
+    """Apply each ``op`` to the trailing leg of ``x`` and move its output leg
+    to the front, one matrix product each: after ops on the last ``k`` legs,
+    their outputs lead in the order the legs had."""
+    for op in ops:
+        x = np.matmul(op, x.reshape(-1, op.shape[1]).T)
+    return x
+
+
+def pauli_coefficients(mat: np.ndarray) -> np.ndarray:
+    """The real ``c_P = tr(P m)`` of a Hermitian ``2**n x 2**n`` matrix.
+
+    With ``m = A + iB``, ``A`` symmetric and ``B`` antisymmetric, a string
+    with an even number of ``Y`` legs reads only ``A`` and one with an odd
+    number only ``B``: so the real ``A + B``, each qubit's row and column bit
+    paired into one leg, takes one real product per leg and a sign.
     """
-    m = np.asarray(mat, dtype=np.complex128)
-    tr = float(np.trace(m).real)  # the Hermitian part has the same real diagonal
-    if not abs(tr - 1.0) <= TRACE_RENORM_LIMIT:  # a NaN trace fails this too
-        raise ArithmeticError(f"state trace drifted to {tr!r}; refusing to renormalize")
-    # a fresh buffer, never np.ascontiguousarray(m.T): that may be a view of m
-    out = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))
-    out += m
-    out *= 0.5
-    out /= tr
+    n = _qubits_for_dim(len(mat))
+    t = np.reshape(mat, (2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
+    return leg_products(t.real + t.imag, [_LEG_TO_PAULI] * n).reshape(-1) * _y_signs(n)[1]
+
+
+def pauli_matrices(coeffs: np.ndarray) -> np.ndarray:
+    """The fresh matrix ``sum_P c_P P / 2**n`` of ``4**n`` real coefficients.
+
+    Real legs build ``H / 2`` for ``H = A + B`` (see
+    :func:`pauli_coefficients`), and ``A``, ``B`` are twice its symmetric and
+    antisymmetric parts: entry ``[c, r]`` is the same sum as ``[r, c]`` and
+    the negated difference, so the matrix is exactly Hermitian, and a block
+    of ``H`` that is exactly zero stays so.
+    """
+    n = _qubits_for_dim(len(coeffs)) // 2
+    h = leg_products(coeffs * _y_signs(n)[0], [_LEG_TO_MATRIX] * n).reshape((2,) * (2 * n))
+    h = h.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(2**n, 2**n)  # rows, columns
+    out = np.empty(h.shape, dtype=np.complex128)
+    np.add(h, h.T, out=out.real)
+    np.subtract(h, h.T, out=out.imag)
     return out
 
 

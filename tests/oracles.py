@@ -29,7 +29,6 @@ from decolab.linalg import (
     haar_unitary,
     partial_trace,
     permute_matrix,
-    settle,
 )
 
 #: assembled channels refuse to materialize more Kraus terms than this
@@ -250,7 +249,7 @@ def channel_apply(t: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     out = np.zeros((dim_out, dim_out), dtype=np.complex128)
     for k in t.kraus:
         out += k @ rho.mat @ k.conj().T
-    return DensityMatrix(t.out_qubits, settle(out))
+    return DensityMatrix(t.out_qubits, hermitian_part(out))
 
 
 def channel_tensor(parts: Sequence[QuantumChannel], label: str = "") -> QuantumChannel:

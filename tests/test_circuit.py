@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import decolab.circuit
 from decolab.channels import (
     GATES,
+    QuantumChannel,
     channel_from_unitary,
     channel_validate,
     depolarize_all,
@@ -28,13 +29,15 @@ from decolab.circuit import (
     serialize_circuit,
 )
 from decolab.config import KRAUS_TOL, ResourceLimitError
-from decolab.linalg import DensityMatrix, haar_unitary, random_density, settle
+from decolab.linalg import DensityMatrix, haar_unitary, random_density
 from oracles import (
     channel_apply,
     channel_tensor,
     depolarize_qubit,
     depolarizing_kraus_channel,
     export_trajectory,
+    hermitian_part,
+    mixed_circuit,
     permutation_unitary,
     validate_density,
 )
@@ -116,7 +119,7 @@ def kraus_block_apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityM
             mat, g.channel.kraus, pre, 2 ** in_sizes[idx], 2 ** out_sizes[idx], suf
         )
     mat = _conjugate_by(_inverse([q for g in layer.gates for q in g.outputs]), mat)
-    return DensityMatrix(layer.out_width, settle(mat))
+    return DensityMatrix(layer.out_width, hermitian_part(mat))
 
 
 def kraus_block_run_noisy(circuit: Circuit, eta: float, rho0: DensityMatrix) -> list:
@@ -298,10 +301,10 @@ PARSE_ERRORS = [
     ("unitary with more outputs", f"unitary {_entries(2)} [1] -> [1,2]", 5, "wired to outputs"),
     ("bad complex entry", "unitary 1+0i x 0+0i 1+0i [1] -> [1]", 5, "bad complex entry"),
     ("gate arity", "gate CNOT [1] -> [1]", 5, "takes 2 qubits"),
-    ("non-increasing gate wires", "gate CNOT [2,1] -> [1,2]", 3, "strictly increasing"),
-    ("non-increasing unitary wires", f"unitary {_entries(4)} [1,2] -> [2,1]", 3, "strictly"),
+    ("non-increasing gate wires", "gate CNOT [2,1] -> [1,2]", 5, "strictly increasing"),
+    ("non-increasing unitary wires", f"unitary {_entries(4)} [1,2] -> [2,1]", 5, "strictly"),
     ("out-of-range index", "gate H [3] -> [3]", 3, "out of range"),
-    ("negative index", "gate H [-1] -> [1]", 3, "out of range"),
+    ("negative index", "gate H [-1] -> [1]", 5, "out of range"),
     ("qubit claimed twice", "gate H [0] -> [0]", 3, "claimed by two"),
     ("qubit claimed twice, closed by the next layer", "gate H [0] -> [0]\nlayer", 3, "claimed"),
 ]
@@ -619,7 +622,7 @@ class TestLayerApplication:
         assert fast.qubits == slow.qubits == layer.out_width
         assert np.max(np.abs(fast.mat - slow.mat)) < 1e-12
 
-    def test_fused_groups_cross_the_cap_and_take_preparations(self, rng):
+    def test_each_gate_but_the_identities_runs_one_transfer_matrix(self, rng):
         def unitary(qubits):
             return channel_from_unitary(haar_unitary(qubits, rng))
 
@@ -635,32 +638,54 @@ class TestLayerApplication:
         layer = CircuitLayer(7, 9, gates)
         rho = random_density(7, rng)
         fast = apply_layer(layer, rho)
-        # two 4 x 4 unitaries exceed the cap; a 4 x 4 and a 2 x 2 reach it,
-        # and a 2 x 2 takes both preparations
-        assert [k.shape for k in layer._plan.groups] == [(4, 4), (8, 8), (8, 2)]
+        # growing gates run last; every transfer matrix keeps the trace
+        transfers = layer._plan.transfers
+        assert [r.shape for r in transfers] == [(16, 16)] * 2 + [(4, 4)] * 3 + [(4, 1)] * 2
+        assert all(np.array_equal(r[0], np.eye(1, r.shape[1])[0]) for r in transfers)
         assert np.max(np.abs(fast.mat - assembled_layer_oracle(layer, rho))) < 1e-12
+
+    def test_a_gate_wider_than_the_cap_is_a_resource_error(self):
+        # its R would hold 4**(6 + 6) numbers, more than a state at the cap of 10
+        wires = tuple(range(6))
+        layer = CircuitLayer(6, 6, (PlacedGate(channel_from_unitary(np.eye(64)), wires, wires),))
+        with pytest.raises(ResourceLimitError, match="fan-in plus fan-out, as a width 12 exceeds the cap 10"):
+            apply_layer(layer, DensityMatrix.basis_state(6, 0))
+
+    def test_a_five_qubit_unitary_fits_the_default_cap(self, rng):
+        wires = tuple(range(5))
+        layer = CircuitLayer(5, 5, (PlacedGate(channel_from_unitary(haar_unitary(5, rng)), wires, wires),))
+        rho = random_density(5, rng)
+        assert [r.shape for r in layer._plan.transfers] == [(1024, 1024)]
+        assert np.max(np.abs(apply_layer(layer, rho).mat - assembled_layer_oracle(layer, rho))) < 1e-12
 
     def test_implicit_identity_wires_add_no_factor(self, rng):
         c = parse_circuit("k 2\nwidth 6\nlayer\ngate H [1] -> [1]\ngate CNOT [2,4] -> [2,4]\n")
         layer = c.layers[0]
         assert [g.inputs for g in layer.gates if g.channel is GATES["I"]] == [(0,), (3,), (5,)]
         plan = layer._plan
-        # H and CNOT fuse into one group; the I wires trail the block order, in no group
-        assert plan.in_perm == (1, 2, 4, 0, 3, 5)
-        assert len(plan.groups) == 1
-        assert np.array_equal(plan.groups[0], np.kron(GATES["H"].kraus[0], GATES["CNOT"].kraus[0]))
+        # the I wires lead the leg order with no matrix; H runs first, on the trailing leg
+        assert plan.in_perm == (0, 3, 5, 2, 4, 1)
+        assert [r.shape for r in plan.transfers] == [(4, 4), (16, 16)]
         rho = random_density(6, rng)
         assert np.max(np.abs(apply_layer(layer, rho).mat - assembled_layer_oracle(layer, rho))) < 1e-12
 
+    def test_an_empty_layer_block_holds_no_matrix_and_copies_once(self, rng):
+        layer = parse_circuit("k 1\nwidth 3\nlayer\n").layers[0]
+        assert len(layer.gates) == 3 and layer._plan.transfers == ()
+        rho = depolarize_all(random_density(3, rng), 0.2)  # held as coefficients
+        out = apply_layer(layer, rho)
+        assert np.array_equal(out.pauli, rho.pauli)
+        assert not np.shares_memory(out.pauli, rho.pauli)
+
     @pytest.mark.parametrize("where", ["first", "middle", "last", "all"])
-    @pytest.mark.parametrize("width", range(1, 7))
+    @pytest.mark.parametrize("width", range(7))
     def test_identity_gates_anywhere_match_the_assembled_tensor(self, width, where):
         """Identity wires, some moving their qubit, first, in the middle or
         last in the gate list, beside unitaries, ``DEPHASE`` and a
         preparation; or a layer of identity wires only."""
         rng = np.random.default_rng(10 * width + len(where))
         qubits = [int(q) for q in rng.permutation(width)]
-        cut = width if where == "all" else int(rng.integers(1, width + 1))
+        cut = width if where == "all" else int(rng.integers(min(width, 1), width + 1))
         identities = [(GATES["I"], (q,)) for q in qubits[:cut]]
         others, rest = [], qubits[cut:]
         while rest:
@@ -686,11 +711,8 @@ class TestLayerApplication:
             outs, slots = tuple(sorted(slots[: channel.out_qubits])), slots[channel.out_qubits :]
             gates.append(PlacedGate(channel, block, outs))
         layer = CircuitLayer(width, out_width, tuple(gates))
-        # the groups span exactly the non-identity single-Kraus gates
-        fused = [c for c, _ in others if len(c.kraus) == 1]
-        assert np.prod([k.shape[1] for k in layer._plan.groups]) == 2 ** sum(
-            c.in_qubits for c in fused
-        )
+        # one transfer matrix per gate that is not an identity wire
+        assert len(layer._plan.transfers) == len(others)
         rho = random_density(width, rng)
         fast = apply_layer(layer, rho)
         assert fast.qubits == out_width
@@ -792,6 +814,39 @@ class TestLayerApplication:
             Circuit(k=2, in_width=1, layers=(l1, l2))
 
 
+class TestPauliStatePath:
+    """Health of the coefficient path: ``c_I`` stays exactly 1, every matrix
+    the simulator builds is exactly Hermitian, and a channel that breaks the
+    trace raises instead of being renormalized."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trace_is_exact_and_matrices_hermitian_at_every_level(self, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(2, 6))
+        runs = [
+            (mixed_circuit(rng, width, 4, ("DEPHASE", "REFRESH")), random_density(width, rng)),
+            (random_mixed_circuit(seed, width, depth=4), random_density(width, rng)),
+        ]
+        for circ, rho in runs:
+            levels = run_noisy(circ, 0.3, rho, extra_noise_round=bool(seed % 2)).levels
+            assert [level.qubits for level in levels] == list(circ.widths)
+            assert all(level.pauli[0] == 1.0 for level in levels)
+            for level in levels[1:]:
+                assert np.array_equal(level.mat, level.mat.conj().T)
+
+    @pytest.mark.parametrize("kraus", [0.9 * np.eye(2), np.array([[1, 0], [0, np.nan]])])
+    def test_a_channel_that_breaks_the_trace_raises_on_first_application(self, kraus, rng):
+        layer = CircuitLayer(1, 1, (PlacedGate(QuantumChannel(1, 1, (kraus,)), (0,), (0,)),))
+        with pytest.raises(ArithmeticError, match="trace drifted by"):
+            apply_layer(layer, random_density(1, rng))
+
+    def test_small_drift_is_pinned_to_an_exact_trace(self, rng):
+        nearly = QuantumChannel(1, 1, ((1 + 1e-8) * np.eye(2),))
+        layer = CircuitLayer(1, 1, (PlacedGate(nearly, (0,), (0,)),))
+        out = apply_layer(layer, random_density(1, rng))
+        assert out.pauli[0] == 1.0 and np.trace(out.mat).real == 1.0
+
+
 class TestBuffers:
     """The simulator updates fresh buffers in place and freezes them without a
     copy; neither may write into an input or let two states share memory."""
@@ -808,10 +863,6 @@ class TestBuffers:
         assert np.array_equal(rho.mat, before) and not rho.mat.flags.writeable
         for out in outputs:
             assert not np.shares_memory(out.mat, rho.mat)
-        drifted = rho.mat * (1 + 1e-9)
-        kept = drifted.copy()
-        assert not np.shares_memory(settle(drifted), drifted)
-        assert np.array_equal(drifted, kept)
 
     @pytest.mark.parametrize("extra", [False, True])
     def test_levels_are_locked_and_disjoint(self, rng, extra):

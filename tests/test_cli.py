@@ -121,15 +121,22 @@ class TestSimulate:
         assert code == 3
         assert "resource cap" in capsys.readouterr().err
 
-    def test_trace_drift_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
-        def drifted(mat):
-            raise ArithmeticError("state trace drifted to 1.5; refusing to renormalize")
+    def test_gate_wider_than_the_cap_exits_3(self, tmp_path, capsys):
+        identity = " ".join("1+0i" if r == c else "0+0i" for r in range(64) for c in range(64))
+        path = tmp_path / "wide_gate.qc"
+        path.write_text(f"k 6\nwidth 6\nlayer\nunitary {identity} [0,1,2,3,4,5] -> [0,1,2,3,4,5]\n")
+        code = main(["simulate", "--circuit", str(path), "--eta", "0.5"])
+        assert code == 3
+        assert "resource cap: gate ?: fan-in plus fan-out, as a width 12" in capsys.readouterr().err
 
-        monkeypatch.setattr(decolab.circuit, "settle", drifted)
+    def test_trace_drift_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        transfer = decolab.circuit._transfer_matrix
+        monkeypatch.setattr(decolab.circuit, "_transfer_matrix", lambda ch: 1.5 * transfer(ch))
         code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
                      "--output", str(tmp_path / "r.csv")])
         assert code == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "gate H: trace drifted by" in err
 
     def test_eigensolver_failure_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
         def diverged(*args, **kwargs):
@@ -142,18 +149,30 @@ class TestSimulate:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_nan_trace_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
-        settle = decolab.circuit.settle
+        transfer = decolab.circuit._transfer_matrix
 
-        def poisoned(mat):
-            mat = np.array(mat)
-            mat[0, 0] = np.nan
-            return settle(mat)
+        def poisoned(channel):
+            r = transfer(channel)
+            r[0, 0] = np.nan
+            return r
 
-        monkeypatch.setattr(decolab.circuit, "settle", poisoned)
+        monkeypatch.setattr(decolab.circuit, "_transfer_matrix", poisoned)
         code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
                      "--output", str(tmp_path / "r.csv")])
         assert code == 4
-        assert "trace drifted to nan" in capsys.readouterr().err
+        assert "trace drifted by nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kraus", [0.9 * np.eye(2), np.array([[1, 0], [0, np.nan]])])
+    def test_a_channel_that_breaks_the_trace_exits_4(
+        self, kraus, bell_path, tmp_path, monkeypatch, capsys
+    ):
+        broken = QuantumChannel(1, 1, (kraus,), label="H")
+        monkeypatch.setitem(decolab.circuit.GATES, "H", broken)
+        code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "gate H: trace drifted" in err
 
     def test_non_finite_subset_distance_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
         eigvalsh = np.linalg.eigvalsh

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from decolab.linalg import (
     hermitian_eigenvalues,
     limit_blas_threads,
     partial_trace,
+    pauli_coefficients,
+    pauli_matrices,
     permute_matrix,
     random_density,
-    settle,
     trace_distance,
 )
 from oracles import (
@@ -421,24 +423,81 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix._adopt(1, (np.eye(4, dtype=complex) / 2)[:2, :2])
 
-    def test_settle_renormalizes_small_drift(self):
-        m = np.diag([0.5 + 1e-9, 0.5]).astype(complex)
-        out = settle(m)
-        assert abs(np.trace(out) - 1.0) < 1e-15
+    def test_pauli_renormalizes_small_trace_drift(self, rng):
+        m = _rand_state(rng, 3).mat * (1 + 1e-9)
+        c = DensityMatrix(3, m).pauli
+        assert c[0] == 1.0 and not c.flags.writeable
+        assert np.max(np.abs(c - pauli_coefficients(m) / (1 + 1e-9))) < 1e-15
 
-    def test_settle_equals_hermitian_part_over_trace_bitwise(self, rng):
-        m = _rand_state(rng, 3).mat * (1 + 1e-8) + 1e-10j * rng.standard_normal((8, 8))
-        reference = hermitian_part(m) / float(np.trace(hermitian_part(m)).real)
-        assert np.array_equal(settle(m), reference)
+    @pytest.mark.parametrize("qubits", range(1, 10))
+    def test_matrix_from_coefficients_is_exactly_hermitian(self, qubits, rng):
+        c = _rand_state(rng, qubits).pauli
+        m = DensityMatrix._from_pauli(qubits, c.copy()).mat
+        assert np.array_equal(m, m.conj().T) and not m.flags.writeable
 
-    def test_settle_refuses_large_drift(self):
-        with pytest.raises(ArithmeticError):
-            settle(np.diag([0.7, 0.5]).astype(complex))
+    def test_width_is_read_only(self):
+        with pytest.raises(AttributeError):
+            DensityMatrix.basis_state(1, 0).qubits = 2
+
+    def test_threads_reading_one_state_share_its_matrix(self, rng):
+        c = _rand_state(rng, 4).pauli
+        reference = DensityMatrix._from_pauli(4, c.copy()).mat
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(20):
+                state = DensityMatrix._from_pauli(4, c.copy())
+                reads = list(pool.map(lambda i: state.mat if i % 2 else state.pauli, range(8)))
+                assert all(np.array_equal(m, reference) for m in reads[1::2])
+                # a read after another thread converted goes back through the matrix
+                assert all(np.max(np.abs(p - c)) < 1e-15 for p in reads[::2])
+
+    def test_pauli_refuses_large_trace_drift(self):
+        with pytest.raises(ArithmeticError, match="drifted to 1.2"):
+            DensityMatrix(1, np.diag([0.7, 0.5]).astype(complex)).pauli
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_settle_refuses_a_non_finite_trace(self, bad):
+    def test_pauli_refuses_a_non_finite_trace(self, bad):
         with pytest.raises(ArithmeticError, match="drifted"):
-            settle(np.diag([bad, 0.5]).astype(complex))
+            DensityMatrix(1, np.diag([bad, 0.5]).astype(complex)).pauli
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pauli_refuses_a_non_finite_off_diagonal_entry(self, bad):
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ArithmeticError, match="drifted to nan"):
+            DensityMatrix(1, m).pauli
+
+
+_PAULIS = [I2, X, np.array([[0, -1j], [1j, 0]]), np.diag([1.0 + 0j, -1.0])]
+
+
+def _pauli_string(index: tuple[int, ...]) -> np.ndarray:
+    return tensor_all([_PAULIS[i] for i in index]) if index else np.ones((1, 1), complex)
+
+
+class TestPauliLayout:
+    @pytest.mark.parametrize("qubits", range(5))
+    def test_coefficients_are_traces_against_pauli_strings(self, qubits, rng):
+        m = _rand_state(rng, qubits).mat
+        strings = [_pauli_string(p) for p in itertools.product(range(4), repeat=qubits)]
+        expected = [np.trace(p @ m).real for p in strings]
+        assert np.max(np.abs(pauli_coefficients(m) - expected)) < 1e-14
+        rebuilt = sum(c * p for c, p in zip(expected, strings)) / 2**qubits
+        assert np.max(np.abs(pauli_matrices(np.array(expected)) - rebuilt)) < 1e-15
+
+    def test_qubit_zero_is_the_leading_leg(self):
+        # |0><0| (x) |+><+|: c_P = 1 for P in {II, IX, ZI, ZX}
+        m = np.kron(np.diag([1.0, 0.0]), np.full((2, 2), 0.5)).astype(complex)
+        c = pauli_coefficients(m)
+        assert np.flatnonzero(np.abs(c) > 1e-15).tolist() == [0, 1, 12, 13]
+
+    @pytest.mark.parametrize("qubits", range(7))
+    def test_round_trip(self, qubits, rng):
+        m = _rand_state(rng, qubits).mat
+        c = pauli_coefficients(m)
+        assert c.shape == (4**qubits,) and c.dtype == np.float64
+        back = pauli_matrices(c)
+        assert back.shape == m.shape and back.flags.c_contiguous
+        assert np.max(np.abs(back - m)) < 1e-15
 
 
 class TestPermutations:

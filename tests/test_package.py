@@ -24,7 +24,9 @@ MODULES = [
 #: ``basis_state(0, 0)``, ``channel_validate`` returns its residual, and the
 #: Kraus-sum application, the one-step bounds, the one-qubit depolarizer,
 #: the state from a bare matrix, the density-matrix validator, the capped
-#: Kronecker product and the Hermitian part live in ``tests/oracles.py``
+#: Kronecker product and the Hermitian part live in ``tests/oracles.py``;
+#: ``settle``'s guards moved into the Pauli-coefficient path (the trace
+#: check on each transfer matrix and on each state converted on the way in)
 REMOVED = [
     "PSD_TOL",
     "TRACE_TOL",
@@ -44,6 +46,7 @@ REMOVED = [
     "recursion_step_bound",
     "run_ideal",
     "scalar",
+    "settle",
     "tensor",
     "validate_density",
 ]
