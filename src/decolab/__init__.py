@@ -43,7 +43,6 @@ from .circuit import (
 from .config import ResourceLimitError, max_qubits
 from .linalg import (
     DensityMatrix,
-    hermitian_eigenvalues,
     limit_blas_threads,
     partial_trace,
     trace_distance,
@@ -72,7 +71,6 @@ __all__ = [
     "depolarize_all",
     "distance_report",
     "f_series",
-    "hermitian_eigenvalues",
     "limit_blas_threads",
     "make_probes",
     "max_qubits",

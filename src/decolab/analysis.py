@@ -45,7 +45,7 @@ from .linalg import (
     batched_partial_trace,
     check_subset,
     partial_trace,
-    permute_matrix,
+    pauli_matrices,
     random_pure_state,
     trace_distance,
 )
@@ -440,27 +440,25 @@ def check_noise_action(rho: DensityMatrix, b: Sequence[int], eta: float) -> floa
     Compares the reduced state of the noised register against the binomial
     mixture ``sum_{A subset of b} eta^(|b|-|A|) (1-eta)^|A| (rho|_A (x)
     (I/2)^(|b|-|A|))`` with factors reassembled in ``b``'s index order, and
-    returns the largest entrywise deviation.
+    returns the largest entrywise deviation of the matrices.  In Pauli
+    coefficients, the term of ``A`` is the reduced state's with every
+    non-``I`` entry outside ``A`` zeroed.
     """
     b_idx = check_subset(b, rho.qubits)
     require_enumerable(len(b_idx))
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    lhs = partial_trace(depolarize_all(rho, eta), b_idx).mat
+    lhs = partial_trace(depolarize_all(rho, eta), b_idx).pauli
     size = len(b_idx)
-    rhs = np.zeros_like(lhs)
+    reduced = partial_trace(rho, b_idx).pauli.reshape((4,) * size)
+    rhs = np.zeros_like(reduced)
     for a_positions in _subsets(size):
         weight = eta ** (size - len(a_positions)) * (1.0 - eta) ** len(a_positions)
         if weight == 0.0:
             continue
-        a_idx = tuple(b_idx[p] for p in a_positions)
-        reduced = partial_trace(rho, a_idx).mat
-        pad = size - len(a_positions)
-        term = np.kron(reduced, np.eye(2**pad, dtype=np.complex128) / 2**pad)
-        blocks = list(a_positions) + [p for p in range(size) if p not in a_positions]
-        perm = [blocks.index(j) for j in range(size)]
-        rhs += weight * permute_matrix(term, perm)
-    return float(np.max(np.abs(lhs - rhs)))
+        legs = tuple(slice(None) if p in a_positions else slice(1) for p in range(size))
+        rhs[legs] += weight * reduced[legs]
+    return float(np.max(np.abs(pauli_matrices(lhs - rhs.reshape(-1)))))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,14 @@ import numpy as np
 
 from .channels import GATES, QuantumChannel, channel_from_unitary, depolarize_all
 from .config import TRACE_RENORM_LIMIT, ResourceLimitError, max_qubits
-from .linalg import _LEG_TO_MATRIX, _LEG_TO_PAULI, DensityMatrix, haar_unitary, leg_products
+from .linalg import (
+    _LEG_TO_MATRIX,
+    _LEG_TO_PAULI,
+    DensityMatrix,
+    _locked,
+    haar_unitary,
+    leg_products,
+)
 
 __all__ = [
     "Circuit",
@@ -142,6 +149,16 @@ def _transfer_matrix(channel: QuantumChannel) -> np.ndarray:
     return np.ascontiguousarray(r.real).reshape(4**kout, 4**kin)
 
 
+def _transfer(channel: QuantumChannel) -> np.ndarray:
+    """The channel's transfer matrix, write-locked: built at its first use
+    and kept on the channel, so a library gate, such as the parser's ``I``
+    wire or ``DEPHASE``, builds it once however often it is placed."""
+    cache = vars(channel)  # frozen: cache in __dict__
+    if (r := cache.get("_transfer")) is None:
+        r = cache["_transfer"] = _locked(_transfer_matrix(channel))
+    return r
+
+
 def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
     """The layer's plan.  A trace-preserving channel's first row is ``e_0``:
     a row off it by more than ``TRACE_RENORM_LIMIT``, or a non-finite entry,
@@ -149,7 +166,7 @@ def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
     every state's ``c_I`` stays exactly 1."""
     idle, moving = [], []
     for g in sorted(layer.gates, key=lambda g: len(g.outputs) - len(g.inputs)):
-        r = _transfer_matrix(g.channel)
+        r = _transfer(g.channel)
         if np.array_equal(r, np.eye(len(r))):
             idle.append(g)
             continue
@@ -158,6 +175,7 @@ def _compile_layer(layer: CircuitLayer) -> _LayerPlan:
         if not (drift <= TRACE_RENORM_LIMIT and np.isfinite(r).all()):
             label = g.channel.label or "?"
             raise ArithmeticError(f"gate {label}: trace drifted by {drift!r}, not renormalized")
+        r = r.copy()  # the channel's own stays as built
         r[0] = e0
         moving.append((g, r))
     blocks = [g for g, _ in reversed(moving)]

@@ -4,9 +4,10 @@ States are density matrices (Hermitian, PSD, trace 1); qubit 0 is the most
 significant tensor factor, so basis index ``b`` encodes the bit string
 ``b_0 b_1 ... b_{n-1}`` read left to right.  The simulator holds a state as
 its ``4**n`` real Pauli coefficients ``c_P = tr(P rho)``, one leg per qubit
-indexed ``(I, X, Y, Z)``, qubit 0 leading, and the analysis reads matrices;
-this module owns both layouts and the conversions.  All functions are pure
-and all values are treated as immutable (buffers are write-locked).
+indexed ``(I, X, Y, Z)``, qubit 0 leading; trace distances and reduced
+states read them, and the subset enumeration reads matrices.  This module
+owns both layouts and the conversions.  All functions are pure and all
+values are treated as immutable (buffers are write-locked).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "batched_partial_trace",
     "check_subset",
     "haar_unitary",
-    "hermitian_eigenvalues",
     "leg_products",
     "limit_blas_threads",
     "partial_trace",
@@ -36,14 +36,6 @@ __all__ = [
     "random_pure_state",
     "trace_distance",
 ]
-
-#: smallest matrix that ``hermitian_eigenvalues`` splits over classical
-#: qubits; below it the scan and the block bookkeeping cost more than one
-#: whole ``eigvalsh`` (on verdict differences of mixed circuits, one BLAS
-#: thread, the split took 1.4x the whole solve's time at 32 x 32 and 0.82x
-#: at 64 x 64)
-_SPLIT_MIN_DIM = 64
-
 
 def _as_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
@@ -70,8 +62,9 @@ class DensityMatrix:
     The zero-qubit state is the 1x1 matrix ``[[1]]`` (a scalar register),
     which is what fan-in-0 preparation gates consume.  A state holds one
     form: a state given as a matrix converts it on each read of
-    :attr:`pauli`, and one the simulator made keeps its coefficients until
-    the first read of :attr:`mat` replaces them with the matrix.
+    :attr:`pauli`, and one made from coefficients (by the simulator,
+    :meth:`maximally_mixed` or :func:`partial_trace`) keeps them until the
+    first read of :attr:`mat` replaces them with the matrix.
     """
 
     def __init__(self, qubits: int, mat: np.ndarray) -> None:
@@ -86,17 +79,8 @@ class DensityMatrix:
         return f"DensityMatrix(qubits={self.qubits})"
 
     @classmethod
-    def _adopt(cls, qubits: int, buf: np.ndarray) -> "DensityMatrix":
-        """Write-lock a buffer its caller just allocated and never writes again."""
-        if buf.dtype != np.complex128 or buf.shape != (2**qubits,) * 2 or not buf.flags.owndata:
-            raise ValueError(f"cannot adopt a {buf.dtype} {buf.shape} buffer as {qubits} qubits")
-        state = object.__new__(cls)
-        state._qubits, state._mat, state._pauli = qubits, _locked(buf), None
-        return state
-
-    @classmethod
     def _from_pauli(cls, qubits: int, coeffs: np.ndarray) -> "DensityMatrix":
-        """Adopt fresh real coefficients, as :meth:`_adopt` a matrix."""
+        """Write-lock fresh real coefficients that the caller never writes again."""
         state = object.__new__(cls)
         state._qubits, state._mat, state._pauli = qubits, None, _locked(coeffs)
         return state
@@ -119,17 +103,29 @@ class DensityMatrix:
     def pauli(self) -> np.ndarray:
         """The ``4**n`` real coefficients ``c_P = tr(P rho)``, write-locked.
 
-        A matrix is converted and divided by ``c_I``, so ``c_I`` is exactly
-        1; a trace further than ``TRACE_RENORM_LIMIT`` from 1 raises
-        ``ArithmeticError`` instead, as does a non-finite entry anywhere: the
-        products by 0 in the conversion carry it into ``c_I`` as NaN.
+        A matrix is checked here, where it enters coefficient form, then
+        converted and divided by ``c_I``, so ``c_I`` is exactly 1.  A
+        non-finite entry anywhere raises ``ArithmeticError``: the products by
+        0 in the conversion carry it into ``c_I`` as NaN.  An anti-Hermitian
+        part beyond ``HERM_TOL`` raises ``ValueError``, and a trace further
+        than ``TRACE_RENORM_LIMIT`` from 1 raises ``ArithmeticError``.
         """
         if (c := self._pauli) is not None:  # read once: another thread may clear it
             return c
+        m = self._mat  # set before ``_pauli`` clears
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries raise below
-            c = pauli_coefficients(self._mat)
+            # one temporary and its moduli; a NaN residual passes to the trace check
+            anti = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))
+            anti -= m
+            residual = float(np.abs(anti).max())
+            del anti
+            c = pauli_coefficients(m)
         trace = float(c[0])
-        if not abs(trace - 1.0) <= TRACE_RENORM_LIMIT:  # a NaN trace fails this too
+        if not math.isfinite(trace):
+            raise ArithmeticError(f"state has a non-finite entry (trace drifted to {trace!r})")
+        if residual > HERM_TOL:
+            raise ValueError(f"state matrix is not Hermitian (residual {residual:.3e})")
+        if not abs(trace - 1.0) <= TRACE_RENORM_LIMIT:
             raise ArithmeticError(f"state trace drifted to {trace!r}; refusing to renormalize")
         c /= c[0]
         return _locked(c)
@@ -155,10 +151,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, qubits: int) -> "DensityMatrix":
-        dim = 2**qubits
-        mat = np.eye(dim, dtype=np.complex128)
-        mat /= dim
-        return cls._adopt(qubits, mat)
+        """``I / 2**qubits``: the coefficients ``e_0``."""
+        return cls._from_pauli(qubits, np.eye(1, 4**qubits)[0])
 
 
 def check_subset(indices: Iterable[int], qubits: int) -> tuple[int, ...]:
@@ -213,20 +207,23 @@ def pauli_coefficients(mat: np.ndarray) -> np.ndarray:
 
 
 def pauli_matrices(coeffs: np.ndarray) -> np.ndarray:
-    """The fresh matrix ``sum_P c_P P / 2**n`` of ``4**n`` real coefficients.
+    """The fresh matrices ``sum_P c_P P / 2**n`` of a stack ``(..., 4**n)`` of
+    real coefficients, shaped ``(..., 2**n, 2**n)``.
 
     Real legs build ``H / 2`` for ``H = A + B`` (see
     :func:`pauli_coefficients`), and ``A``, ``B`` are twice its symmetric and
     antisymmetric parts: entry ``[c, r]`` is the same sum as ``[r, c]`` and
-    the negated difference, so the matrix is exactly Hermitian, and a block
+    the negated difference, so each matrix is exactly Hermitian, and a block
     of ``H`` that is exactly zero stays so.
     """
-    n = _qubits_for_dim(len(coeffs)) // 2
-    h = leg_products(coeffs * _y_signs(n)[0], [_LEG_TO_MATRIX] * n).reshape((2,) * (2 * n))
-    h = h.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(2**n, 2**n)  # rows, columns
+    *stack, size = np.shape(coeffs)
+    n = _qubits_for_dim(size) // 2
+    h = leg_products(coeffs * _y_signs(n)[0], [_LEG_TO_MATRIX] * n)  # the stack trails
+    rows_cols = [2 * n, *range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    h = h.reshape((2,) * (2 * n) + (-1,)).transpose(rows_cols).reshape(*stack, 2**n, 2**n)
     out = np.empty(h.shape, dtype=np.complex128)
-    np.add(h, h.T, out=out.real)
-    np.subtract(h, h.T, out=out.imag)
+    np.add(h, np.swapaxes(h, -1, -2), out=out.real)
+    np.subtract(h, np.swapaxes(h, -1, -2), out=out.imag)
     return out
 
 
@@ -246,7 +243,8 @@ def batched_partial_trace(stack: np.ndarray, qubits: int, keep: tuple[int, ...])
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on ``keep``, tracing out every other qubit.
+    """Reduced state on ``keep``, tracing out every other qubit: the
+    coefficients with ``I`` on every traced leg, one slice.
 
     The result's qubit ``j`` is the input's ``keep[j]``; ``keep`` must be
     strictly increasing.  Keeping everything returns the state unchanged and
@@ -255,132 +253,45 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep_idx = check_subset(keep, rho.qubits)
     if len(keep_idx) == rho.qubits:
         return rho
-    red = batched_partial_trace(rho.mat[None], rho.qubits, keep_idx)[0]
-    return DensityMatrix(len(keep_idx), red)
+    legs = tuple(slice(None) if q in keep_idx else 0 for q in range(rho.qubits))
+    coeffs = rho.pauli.reshape((4,) * rho.qubits)[legs].flatten()
+    return DensityMatrix._from_pauli(len(keep_idx), coeffs)
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Rejects inputs whose anti-Hermitian part exceeds ``HERM_TOL``; the solve
-    itself runs on the symmetrized matrix.  Raises ``ArithmeticError`` on a
-    non-finite entry (its residual is not finite) and
-    ``numpy.linalg.LinAlgError`` if the solver fails to converge.
-
-    A ``2**n``-dimensional matrix of at least ``_SPLIT_MIN_DIM`` rows is
-    split over its classical qubits, those in which both off-diagonal blocks
-    are exactly zero (a measured or a freshly prepared qubit): it is then
-    permutation-similar to one diagonal block per classical bit string, and
-    the blocks are solved instead of the whole matrix.  The split is exact;
-    a smaller matrix, or one with no classical qubit, goes to ``eigvalsh``
-    whole.
-    """
-    m = _as_square(m)
-    residual = 0.0
-    if m.size:
-        # one temporary, row-major like m, and its moduli
-        anti = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))
-        anti -= m
-        residual = float(np.abs(anti).max())
-        del anti  # before any temporary of the split
-    if not math.isfinite(residual):  # NaN > HERM_TOL is False: it would pass the check below
-        raise ArithmeticError("matrix has a non-finite entry")
-    if residual > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
-    # an exactly Hermitian m is bitwise its own Hermitian part
-    h = m if residual == 0.0 else (m + m.conj().T) / 2
-    dim = h.shape[0]
-    n = dim.bit_length() - 1
-    classical = _classical_qubits(h, n) if dim == 2**n and dim >= _SPLIT_MIN_DIM else []
-    if not classical:
-        return np.linalg.eigvalsh(h)
-    return _split_eigenvalues(h, n, classical)
-
-
-def _classical_qubits(h: np.ndarray, n: int) -> list[int]:
-    """The qubits in which ``h`` has no off-diagonal block: exactly zero, no
-    tolerance.  ``h`` is exactly Hermitian, so its ``[1, 0]`` block in a
-    qubit is the adjoint of its ``[0, 1]`` block and testing one tests both.
-
-    The entries ``h[i, i ^ bit]`` lie in those blocks; one gather of them
-    rules out most quantum qubits at ``O(n 2**n)`` before any block scan."""
-    bits = 1 << np.arange(n - 1, -1, -1)  # qubit q is bit n - 1 - q of an index
-    rows = np.arange(2**n)[:, None]
-    maybe = ~(h[rows, rows ^ bits] != 0).any(axis=0)
-    classical = []
-    for q in np.flatnonzero(maybe).tolist():
-        blocks = h.reshape(2**q, 2, 2 ** (n - 1 - q), 2**q, 2, 2 ** (n - 1 - q))
-        if not blocks[:, 0, :, :, 1, :].any():
-            classical.append(q)
-    return classical
-
-
-def _split_eigenvalues(h: np.ndarray, n: int, classical: list[int]) -> np.ndarray:
-    """Eigenvalues of ``h`` from its ``2**m`` diagonal blocks over ``m``
-    classical qubits, ascending.
-
-    A permutation of the basis puts the classical bits first, which makes
-    ``h`` block-diagonal with one block per classical bit string; the
-    spectrum is the union of the blocks' spectra.  The blocks are read
-    through one strided view of ``h``, never a permuted copy of it; blocks
-    with no off-diagonal entry give their diagonal, the rest go to one
-    batched ``eigvalsh``.
-    """
-    quantum = [q for q in range(n) if q not in classical]
-    row, col = h.strides
-    step = [2 ** (n - 1 - q) for q in range(n)]
-    blocks = np.lib.stride_tricks.as_strided(
-        h,
-        shape=(2,) * (len(classical) + 2 * len(quantum)),
-        strides=[step[q] * (row + col) for q in classical]
-        + [step[q] * row for q in quantum]
-        + [step[q] * col for q in quantum],
-        writeable=False,
-    )
-    side = 2 ** len(quantum)
-    # a view unless a classical qubit sits between quantum ones: then one
-    # gather of 2**-m of the matrix
-    blocks = blocks.reshape(2 ** len(classical), side, side)
-    coupled = blocks != 0
-    coupled[:, np.arange(side), np.arange(side)] = False
-    solve = coupled.any(axis=(1, 2))
-    if solve.all():
-        ev = np.linalg.eigvalsh(blocks)
-    else:
-        ev = np.diagonal(blocks, axis1=1, axis2=2).real.copy()
-        if solve.any():
-            ev[solve] = np.linalg.eigvalsh(blocks[solve])
-    return np.sort(ev, axis=None)
+#: a classical leg's ``I`` and ``Z`` entries to its ``|0>`` and ``|1>`` blocks
+_CLASSICAL_LEG = np.array([[1.0, 1.0], [1.0, -1.0]]) / 2
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of ``rho - sigma``: the best distinguishing advantage.
 
-    The eigensolve splits over the qubits in which ``rho - sigma`` has no
-    off-diagonal block, such as a qubit both states hold measured or freshly
-    prepared, as :func:`hermitian_eigenvalues` describes.
+    Read from the coefficients of the difference.  A qubit with no nonzero
+    ``X`` or ``Y`` entry on its leg (exactly, no tolerance), such as one both
+    states hold measured or freshly prepared, is classical: the difference
+    is block-diagonal in its bit.  The classical legs' ``I`` and ``Z``
+    entries give the coefficients of one block per classical bit string; the
+    all-zero blocks (a refreshed qubit's ``|1>`` half) are dropped, and the
+    rest are solved in one batch, or are the eigenvalues themselves when no
+    qubit is quantum.  Blocks built from real coefficients are exactly
+    Hermitian.  A non-finite coefficient raises ``ArithmeticError``.
     """
     if rho.qubits != sigma.qubits:
         raise ValueError(
             f"qubit count mismatch: {rho.qubits} vs {sigma.qubits}"
         )
-    ev = hermitian_eigenvalues(rho.mat - sigma.mat)
-    return 0.5 * float(np.sum(np.abs(ev)))
-
-
-def _check_perm(perm: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(int(x) for x in perm)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
-    return p
-
-
-def permute_matrix(mat: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Conjugate by the qubit permutation unitary, as one fresh strided copy."""
-    p = list(_check_perm(perm))
-    n = len(p)
-    t = np.asarray(mat).reshape((2,) * (2 * n)).transpose(p + [n + q for q in p])
-    return t.copy().reshape(np.shape(mat))
+    n = rho.qubits
+    delta = (rho.pauli - sigma.pauli).reshape((4,) * n)
+    coupled = delta != 0
+    classical = [q for q in range(n) if not coupled[(slice(None),) * q + (slice(1, 3),)].any()]
+    quantum = [q for q in range(n) if q not in classical]
+    iz = delta.transpose(quantum + classical)[(...,) + (slice(None, None, 3),) * len(classical)]
+    blocks = leg_products(iz, [_CLASSICAL_LEG] * len(classical)).reshape(2 ** len(classical), -1)
+    del delta, coupled, iz  # before the blocks' matrices
+    blocks = blocks[blocks.any(axis=1)]
+    if not np.isfinite(blocks).all():
+        raise ArithmeticError("state difference has a non-finite coefficient")
+    ev = np.linalg.eigvalsh(pauli_matrices(blocks)) if quantum else blocks
+    return 0.5 * float(np.abs(ev).sum())
 
 
 def haar_unitary(qubits: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Reference implementations that only the tests use: states from bare
 matrices, the density-matrix validator and the capped Kronecker product,
-explicit matrices the library's strided kernels are checked against,
-assembled channels, the one-qubit affine depolarizer, the Kraus-sum
-channel application and the Pauli-form depolarizer its kernels and affine
-noise round are checked against, the full subset enumeration its
-pruned one is checked against, the serial level loop its threaded report is
-checked against, circuits of the benchmark's gate mix with the dense
-worthlessness verdicts the split eigensolves are checked against, the
-one-step recursion bounds the profiles are checked against, and a
-trajectory writer."""
+the matrix partial trace, qubit permutation and trace distance that the
+library's coefficient slices are checked against, explicit matrices the
+library's strided kernels are checked against, assembled channels, the
+one-qubit affine depolarizer, the Kraus-sum channel application and the
+Pauli-form depolarizer its kernels and affine noise round are checked
+against, the full subset enumeration its pruned one is checked against,
+the serial level loop its threaded report is checked against, circuits of
+the benchmark's gate mix with the dense worthlessness verdicts the
+block-split trace distances are checked against, the one-step recursion
+bounds the profiles are checked against, and a trajectory writer."""
 
 import itertools
 import math
@@ -27,8 +28,6 @@ from decolab.linalg import (
     _qubits_for_dim,
     batched_partial_trace,
     haar_unitary,
-    partial_trace,
-    permute_matrix,
 )
 
 #: assembled channels refuse to materialize more Kraus terms than this
@@ -117,12 +116,42 @@ def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def permutation_unitary(perm: Sequence[int]) -> np.ndarray:
-    """Explicit unitary ``P`` with ``P rho P^dagger = permute_qubits(rho, perm)``,
-    built as the basis-index gather ``new j = old perm[j]``."""
+def dense_partial_trace(mat: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """The matrix partial trace onto the strictly increasing ``keep``, one
+    traced qubit at a time, the last first."""
+    n = _qubits_for_dim(len(mat))
+    t = np.asarray(mat).reshape((2,) * (2 * n))
+    for q in reversed(range(n)):
+        if q not in keep:
+            t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
+    return t.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+def dense_trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Half the trace norm of ``rho - sigma`` by one ``eigvalsh`` of the
+    whole matrix difference."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat)).sum())
+
+
+def _check_perm(perm: Sequence[int]) -> tuple[int, ...]:
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(len(p))):
         raise ValueError(f"{p} is not a permutation of 0..{len(p) - 1}")
+    return p
+
+
+def permute_matrix(mat: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Conjugate by the qubit permutation unitary, as one fresh strided copy."""
+    p = list(_check_perm(perm))
+    n = len(p)
+    t = np.asarray(mat).reshape((2,) * (2 * n)).transpose(p + [n + q for q in p])
+    return t.copy().reshape(np.shape(mat))
+
+
+def permutation_unitary(perm: Sequence[int]) -> np.ndarray:
+    """Explicit unitary ``P`` with ``P rho P^dagger = permute_qubits(rho, perm)``,
+    built as the basis-index gather ``new j = old perm[j]``."""
+    p = _check_perm(perm)
     n = len(p)
     ar = np.arange(1 << n)
     src = np.zeros(1 << n, dtype=np.intp)
@@ -222,14 +251,11 @@ def dense_verdicts(
     maximally mixed state, each pair by one ``eigvalsh`` of the whole
     difference: the values ``practically_worthless`` and ``worthless``
     return."""
-    finals = [run_noisy(circuit, eta, p).levels[-1].mat for p in probes]
-
-    def distance(a: np.ndarray, b: np.ndarray) -> float:
-        return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
-    mixed = np.eye(finals[0].shape[0]) / finals[0].shape[0]
-    pairwise = max((distance(a, b) for a, b in itertools.combinations(finals, 2)), default=0.0)
-    return pairwise, max(distance(f, mixed) for f in finals)
+    finals = [run_noisy(circuit, eta, p).levels[-1] for p in probes]
+    mixed = from_matrix(np.eye(2 ** finals[0].qubits) / 2 ** finals[0].qubits)
+    pairs = itertools.combinations(finals, 2)
+    pairwise = max((dense_trace_distance(a, b) for a, b in pairs), default=0.0)
+    return pairwise, max(dense_trace_distance(f, mixed) for f in finals)
 
 
 def identity_channel(qubits: int) -> QuantumChannel:
@@ -289,7 +315,7 @@ def depolarize_qubit(rho: DensityMatrix, q: int, eta: float) -> DensityMatrix:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     n = rho.qubits
-    rest = partial_trace(rho, [p for p in range(n) if p != q]).mat
+    rest = dense_partial_trace(rho.mat, [p for p in range(n) if p != q])
     fresh = permute_matrix(np.kron(rest, np.eye(2) / 2), [*range(q), n - 1, *range(q, n - 1)])
     return DensityMatrix(n, (1.0 - eta) * rho.mat + eta * fresh)
 

@@ -558,7 +558,7 @@ class TestNormPruning:
         # Frobenius bound sees it, ahead of any eigensolve
         mats = [np.array(random_density(3, rng).mat) for _ in range(3)]
         mats[1][0, 7] = mats[1][7, 0] = bad
-        states = [DensityMatrix._adopt(3, m) for m in mats]
+        states = [DensityMatrix(3, m) for m in mats]
         with np.errstate(invalid="ignore"), pytest.raises(
             ArithmeticError, match="non-finite trace distance"
         ):

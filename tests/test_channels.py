@@ -19,9 +19,11 @@ from decolab.linalg import DensityMatrix, random_density, trace_distance
 from oracles import (
     channel_apply,
     channel_tensor,
+    dense_partial_trace,
     depolarize_qubit,
     depolarizing_kraus_channel,
     identity_channel,
+    permute_matrix,
     tensor,
     validate_density,
 )
@@ -104,11 +106,9 @@ class TestDepolarizeAll:
         eta = 0.5
         bell = DensityMatrix.pure([1, 0, 0, 1])
         expected = np.zeros((4, 4), dtype=complex)
-        from decolab.linalg import partial_trace, permute_matrix
-
         for kept in ([], [0], [1], [0, 1]):
             weight = eta ** (2 - len(kept)) * (1 - eta) ** len(kept)
-            reduced = partial_trace(bell, kept).mat
+            reduced = dense_partial_trace(bell.mat, kept)
             pad = 2 - len(kept)
             term = tensor(reduced, np.eye(2**pad) / 2**pad)
             blocks = list(kept) + [q for q in range(2) if q not in kept]

@@ -845,6 +845,25 @@ class TestPauliStatePath:
         layer = CircuitLayer(1, 1, (PlacedGate(nearly, (0,), (0,)),))
         out = apply_layer(layer, random_density(1, rng))
         assert out.pauli[0] == 1.0 and np.trace(out.mat).real == 1.0
+        # the plan pins a copy: the channel keeps its matrix as built
+        assert vars(nearly)["_transfer"][0, 0] > 1.0 and layer._plan.transfers[0][0, 0] == 1.0
+
+    def test_each_channel_builds_its_transfer_matrix_once(self, monkeypatch):
+        for name in ("I", "DEPHASE", "PREP0", "TRACEOUT"):  # ones no other test has built
+            gate = GATES[name]
+            fresh = QuantumChannel(gate.in_qubits, gate.out_qubits, gate.kraus, gate.label)
+            monkeypatch.setitem(GATES, name, fresh)
+        built = []
+        transfer = decolab.circuit._transfer_matrix
+        monkeypatch.setattr(
+            decolab.circuit, "_transfer_matrix", lambda ch: built.append(ch) or transfer(ch)
+        )
+        layer = "layer\ngate DEPHASE [0] -> [0]\ngate TRACEOUT [2] -> []\ngate PREP0 [] -> [2]\n"
+        circ = parse_circuit("k 1\nwidth 4\n" + layer * 3)
+        assert len({id(layer._plan) for layer in circ.layers}) == 3
+        run_noisy(circ, 0.3, random_density(4, np.random.default_rng(0)))
+        assert sorted(ch.label for ch in built) == ["DEPHASE", "I", "PREP0", "TRACEOUT"]
+        assert all(not vars(ch)["_transfer"].flags.writeable for ch in built)
 
 
 class TestBuffers:

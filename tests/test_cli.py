@@ -41,6 +41,14 @@ def read_csv(path):
     return header, rows
 
 
+def _fresh_library_gate(monkeypatch, name: str) -> None:
+    """Put an equal channel that has built no transfer matrix yet in the
+    library's place, for the length of the test."""
+    gate = GATES[name]
+    fresh = QuantumChannel(gate.in_qubits, gate.out_qubits, gate.kraus, gate.label)
+    monkeypatch.setitem(GATES, name, fresh)
+
+
 class TestSimulate:
     def test_bell_at_eta_zero(self, bell_path, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -130,6 +138,7 @@ class TestSimulate:
         assert "resource cap: gate ?: fan-in plus fan-out, as a width 12" in capsys.readouterr().err
 
     def test_trace_drift_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        _fresh_library_gate(monkeypatch, "H")  # the library's H may hold its matrix already
         transfer = decolab.circuit._transfer_matrix
         monkeypatch.setattr(decolab.circuit, "_transfer_matrix", lambda ch: 1.5 * transfer(ch))
         code = main(["simulate", "--circuit", bell_path, "--eta", "0.5",
@@ -149,6 +158,7 @@ class TestSimulate:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_nan_trace_exits_4(self, bell_path, tmp_path, monkeypatch, capsys):
+        _fresh_library_gate(monkeypatch, "H")
         transfer = decolab.circuit._transfer_matrix
 
         def poisoned(channel):

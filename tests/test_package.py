@@ -24,16 +24,24 @@ MODULES = [
 #: ``basis_state(0, 0)``, ``channel_validate`` returns its residual, and the
 #: Kraus-sum application, the one-step bounds, the one-qubit depolarizer,
 #: the state from a bare matrix, the density-matrix validator, the capped
-#: Kronecker product and the Hermitian part live in ``tests/oracles.py``;
-#: ``settle``'s guards moved into the Pauli-coefficient path (the trace
-#: check on each transfer matrix and on each state converted on the way in)
+#: Kronecker product, the Hermitian part and the qubit permutation live in
+#: ``tests/oracles.py``; ``settle``'s guards moved into the Pauli-coefficient
+#: path (the trace check on each transfer matrix and on each state converted
+#: on the way in), and so did the matrix eigenvalue checks and the
+#: classical-qubit split, which ``trace_distance`` reads from the
+#: coefficients; a fresh matrix is never adopted in place
 REMOVED = [
     "PSD_TOL",
     "TRACE_TOL",
     "ValidationReport",
+    "_SPLIT_MIN_DIM",
+    "_adopt",
+    "_check_perm",
+    "_classical_qubits",
     "_depolarized",
     "_json_ready",
     "_log2_dim",
+    "_split_eigenvalues",
     "channel_apply",
     "depolarize_qubit",
     "dim",
@@ -41,7 +49,9 @@ REMOVED = [
     "empirical_d",
     "from_matrix",
     "gate_only_step_bound",
+    "hermitian_eigenvalues",
     "hermitian_part",
+    "permute_matrix",
     "prep_channel",
     "recursion_step_bound",
     "run_ideal",
