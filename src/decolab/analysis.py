@@ -6,10 +6,11 @@ qubits at level ``i`` of two runs.  It equals full enumeration of every
 qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
 evaluated, or, for the maximum over pairs (:func:`max_profile`), where
-``sqrt(d) / 2 * ||rho_a - rho_b||_F`` proves a pair no larger than the
-record.  Where every state of a level has a certified pure factor
-``rho ~ f f^dagger`` (``sqrt(dim) / 2 * ||rho - f f^dagger||_F <= 1e-13``,
-so each subset distance moves by at most ``2e-13``), a subset's distance
+half the distance of a pair's Pauli coefficients, ``sqrt(d) / 2 *
+||rho_a - rho_b||_F``, proves it no larger than the record.  Where every
+state of a level has a certified pure factor ``rho ~ f f^dagger``
+(``sqrt(dim) / 2 * ||rho - f f^dagger||_F <= 1e-13``, so each subset
+distance moves by at most ``2e-13``), a subset's distance
 comes from a small ``R J R^dagger`` eigenproblem instead of the dense one;
 pure levels, such as the first two of a unitary circuit, take that path.
 :func:`distance_report` enumerates its levels side by side on ``usable
@@ -42,7 +43,6 @@ from .circuit import Circuit, CircuitLayer, PlacedGate, run_noisy
 from .config import ENUMERATION_CAP, ResourceLimitError
 from .linalg import (
     DensityMatrix,
-    batched_partial_trace,
     check_subset,
     partial_trace,
     pauli_matrices,
@@ -249,31 +249,32 @@ def _dense_distances(red, iu, ju, todo) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _frobenius_bounds(red, iu, ju) -> np.ndarray:
-    """Upper bounds ``sqrt(d) / 2 * ||red_i - red_j||_F`` on the distances of
-    the pairs ``(iu, ju)`` (Cauchy-Schwarz on the ``d`` eigenvalues), from
-    the real Gram matrix of the stack rather than from the differences.  The
-    Gram entries are inner products of length ``2 d**2``, each off by at most
-    about ``2 d**2 u`` times the two norms; that much is added back before the
-    square root, so cancellation between near-equal states can only raise a
-    bound."""
-    d = red.shape[-1]
-    flat = np.ascontiguousarray(red).reshape(red.shape[0], -1).view(np.float64)
-    gram = flat @ flat.T  # Re <red_a, red_b>
+def _frobenius_bounds(coeffs, iu, ju) -> np.ndarray:
+    """Upper bounds ``||c_i - c_j|| / 2 = sqrt(d) / 2 * ||red_i - red_j||_F``
+    on the distances of the pairs ``(iu, ju)`` of a ``(states, d**2)`` stack
+    of reduced coefficients (Cauchy-Schwarz on the ``d`` eigenvalues, and
+    ``||Delta||_F**2 = sum_P Delta c_P**2 / d``), from the Gram matrix of the
+    stack rather than from the differences.  The Gram entries are inner
+    products of length ``d**2``, each off by at most about ``d**2 u`` times
+    the two norms; that much is added back before the square root, so
+    cancellation between near-equal states can only raise a bound."""
+    gram = coeffs @ coeffs.T
     both = gram.diagonal()[iu] + gram.diagonal()[ju]
-    squared = both - 2.0 * gram[iu, ju] + (2 * d * d + 4) * np.finfo(float).eps * both
-    return 0.5 * math.sqrt(d) * np.sqrt(squared)
+    squared = both - 2.0 * gram[iu, ju] + (coeffs.shape[1] + 4) * np.finfo(float).eps * both
+    return 0.5 * np.sqrt(squared)
 
 
-def _max_only_distances(red, iu, ju, todo, ub, record) -> tuple[np.ndarray, np.ndarray]:
+def _max_only_distances(coeffs, iu, ju, todo, ub, record) -> tuple[np.ndarray, np.ndarray]:
     """Eigensolve the pair of ``todo`` with the largest bound ``ub`` when it
     exceeds ``record``, then only the pairs whose bound exceeds the record
-    that raised.  Returns each pair's distance where solved and its bound
+    that raised; the reduced coefficients ``coeffs`` become matrices only
+    then.  Returns each pair's distance where solved and its bound
     elsewhere, and the mask of those solved."""
     value = ub.copy()
     solved = np.zeros(todo.size, dtype=bool)
     first = int(np.argmax(ub))
     if ub[first] > record:
+        red = pauli_matrices(coeffs)
         value[first] = _dense_distances(red, iu, ju, todo[first : first + 1])[0]
         solved[first] = True
         rest = np.flatnonzero(~solved & (ub > max(record, value[first])))
@@ -320,16 +321,18 @@ def _top_down(
     when ``per_pair``, the best over all pairs otherwise.  Every skipped
     subset is thus provably no larger than one that was evaluated.
 
-    Without ``per_pair``, on the dense path, each remaining pair is bounded
-    further by ``sqrt(d) / 2 * ||Delta||_F >= ||Delta||_1 / 2``
-    (Cauchy-Schwarz on the ``d`` eigenvalues), an O(d**2) Gram-matrix step
-    ahead of the O(d**3) eigensolve: the pair with the largest bound is
-    solved first, then only the pairs whose bound exceeds the record, and a
-    skipped pair keeps its bound as its value.  This also prunes the full
-    register, whose data-processing bound is ``+inf``.  The per-pair form
-    does without it: there each pair's own record is the one to beat, and
-    the bound cut its eigensolves by 17% (66,964 -> 55,684) with no gain in
-    time.
+    Dense subsets read the reduced states as slices of the stacked Pauli
+    coefficients (``I`` on every traced leg), converted to matrices once a
+    subset, and only for a subset with a pair to eigensolve.  Without ``per_pair``, each remaining pair is bounded further by
+    half the distance of its reduced coefficients, ``sqrt(d) / 2 *
+    ||Delta||_F >= ||Delta||_1 / 2`` (Cauchy-Schwarz on the ``d``
+    eigenvalues), an O(d**2) Gram-matrix step ahead of the O(d**3)
+    eigensolve: the pair with the largest bound is solved first, then only
+    the pairs whose bound exceeds the record, and a skipped pair keeps its
+    bound as its value.  This also prunes the full register, whose
+    data-processing bound is ``+inf``.  The per-pair form does without it:
+    there each pair's own record is the one to beat, and the bound cut its
+    eigensolves by 17% (66,964 -> 55,684) with no gain in time.
 
     When every state has a certified pure factor (:func:`_factors`), a subset
     of size ``s`` with ``w = 2**(qubits - s) * 2 < 2**s`` is solved as a
@@ -354,7 +357,8 @@ def _top_down(
     best = np.zeros((iu.size, qubits + 1))
     if iu.size == 0:
         return best, 0, 0, 0
-    stack = np.stack([s.mat for s in states])
+    # before ``_factors``: a state's first ``.mat`` read replaces its coefficients
+    coeffs = np.stack([s.pauli for s in states]).reshape((len(states),) + (4,) * qubits)
     factors = _factors(states)
     # row ``mask`` (qubit ``q`` kept iff bit ``q`` is set) holds each pair's
     # distance once evaluated, its bound once skipped
@@ -379,17 +383,20 @@ def _top_down(
             if low_rank:
                 dist = _factored_distances(factors, qubits, keep, iu, ju, todo)
                 factored += todo.size
-            elif per_pair:
-                dist = _dense_distances(batched_partial_trace(stack, qubits, keep), iu, ju, todo)
             else:
-                red = batched_partial_trace(stack, qubits, keep)
-                frobenius = _frobenius_bounds(red, iu[todo], ju[todo])
-                # a NaN bound would prune its pair, and every subset below it
-                if not np.isfinite(frobenius).all():
-                    raise ArithmeticError(f"non-finite trace distance bound on qubits {keep}")
-                ub = np.minimum(bound[i, todo], frobenius)
-                dist, solved = _max_only_distances(red, iu, ju, todo, ub, record)
-                norm_pruned += todo.size - int(solved.sum())
+                # the reduced states' coefficients: ``I`` on every traced leg
+                legs = tuple(slice(None) if q in keep else 0 for q in range(qubits))
+                red = coeffs[(slice(None),) + legs].reshape(len(states), -1)
+                if per_pair:
+                    dist = _dense_distances(pauli_matrices(red), iu, ju, todo)
+                else:
+                    frobenius = _frobenius_bounds(red, iu[todo], ju[todo])
+                    # a NaN bound would prune its pair, and every subset below it
+                    if not np.isfinite(frobenius).all():
+                        raise ArithmeticError(f"non-finite trace distance bound on qubits {keep}")
+                    ub = np.minimum(bound[i, todo], frobenius)
+                    dist, solved = _max_only_distances(red, iu, ju, todo, ub, record)
+                    norm_pruned += todo.size - int(solved.sum())
             # NaN compares False and would prune every subset below it
             if not np.isfinite(dist[solved]).all():
                 raise ArithmeticError(f"non-finite trace distance on qubits {keep}")
@@ -694,10 +701,6 @@ def distance_report(
     depth = circuit.depth
     series = f_series(circuit.k, eta, noise_rounds_at_level(depth, depth, extra_noise_round))
     levels = [[t.levels[level] for t in trajectories] for level in range(depth + 1)]
-    # build every matrix here, so that the pool's threads never convert a
-    # state and the matrices share this thread's malloc arena
-    for state in itertools.chain.from_iterable(levels):
-        state.mat
     workers = _report_workers()
     # levels are independent once the trajectories exist, and LAPACK drops
     # the GIL; results come back in level order

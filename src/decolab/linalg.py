@@ -5,8 +5,8 @@ significant tensor factor, so basis index ``b`` encodes the bit string
 ``b_0 b_1 ... b_{n-1}`` read left to right.  The simulator holds a state as
 its ``4**n`` real Pauli coefficients ``c_P = tr(P rho)``, one leg per qubit
 indexed ``(I, X, Y, Z)``, qubit 0 leading; trace distances and reduced
-states read them, and the subset enumeration reads matrices.  This module
-owns both layouts and the conversions.  All functions are pure and all
+states read them, and eigensolves take matrices converted from them.  This
+module owns both layouts and the conversions.  All functions are pure and all
 values are treated as immutable (buffers are write-locked).
 """
 
@@ -24,7 +24,6 @@ from .config import BLAS_THREADS, BLAS_THREADS_ENV, HERM_TOL, TRACE_RENORM_LIMIT
 
 __all__ = [
     "DensityMatrix",
-    "batched_partial_trace",
     "check_subset",
     "haar_unitary",
     "leg_products",
@@ -225,21 +224,6 @@ def pauli_matrices(coeffs: np.ndarray) -> np.ndarray:
     np.add(h, np.swapaxes(h, -1, -2), out=out.real)
     np.subtract(h, np.swapaxes(h, -1, -2), out=out.imag)
     return out
-
-
-def batched_partial_trace(stack: np.ndarray, qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a ``(states, 2**qubits, 2**qubits)`` stack down to the
-    strictly increasing ``keep``, as one tied-index ``einsum``."""
-    t = stack.reshape((stack.shape[0],) + (2,) * (2 * qubits))
-    row = [1 + q for q in range(qubits)]
-    col = [1 + qubits + q for q in range(qubits)]
-    for q in range(qubits):
-        if q not in keep:
-            col[q] = row[q]  # tie row/col index => sum the diagonal
-    out = [0] + [row[q] for q in keep] + [col[q] for q in keep]
-    red = np.einsum(t, [0] + row + col, out)
-    d = 2 ** len(keep)
-    return red.reshape(stack.shape[0], d, d)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -26,7 +26,6 @@ from decolab.linalg import (
     DensityMatrix,
     _as_square,
     _qubits_for_dim,
-    batched_partial_trace,
     haar_unitary,
 )
 
@@ -179,10 +178,10 @@ def full_enumeration_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
     per_size = np.zeros((iu.size, qubits + 1))
     if iu.size == 0:
         return per_size
-    stack = np.stack([s.mat for s in states])
+    mats = [s.mat for s in states]
     for size in range(1, qubits + 1):
         for keep in itertools.combinations(range(qubits), size):
-            red = batched_partial_trace(stack, qubits, keep)
+            red = np.stack([dense_partial_trace(m, keep) for m in mats])
             ev = np.linalg.eigvalsh(red[iu] - red[ju])
             np.maximum(per_size[:, size], 0.5 * np.abs(ev).sum(axis=-1), out=per_size[:, size])
     return np.maximum.accumulate(per_size, axis=1)

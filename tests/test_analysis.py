@@ -43,6 +43,7 @@ from decolab.linalg import (
     DensityMatrix,
     haar_unitary,
     limit_blas_threads,
+    partial_trace,
     random_density,
     random_pure_state,
     trace_distance,
@@ -52,6 +53,7 @@ import decolab.analysis
 import decolab.circuit
 import decolab.linalg
 from oracles import (
+    dense_partial_trace,
     dense_verdicts,
     full_enumeration_profiles,
     gate_only_step_bound,
@@ -220,8 +222,6 @@ class TestEmpiricalD:
             assert _pair_d(a, b, 99) == pytest.approx(profile[3], abs=1e-15)
 
     def test_matches_bruteforce_enumeration(self, rng):
-        from decolab.linalg import partial_trace
-
         a, b = random_density(3, rng), random_density(3, rng)
         for n in range(4):
             best = 0.0
@@ -552,17 +552,55 @@ class TestNormPruning:
         assert top.norm_pruned > 0
         _matches_full_enumeration(states)
 
+    @pytest.mark.parametrize(
+        "held, message",
+        [("matrix", "state has a non-finite entry"), ("pauli", "non-finite trace distance")],
+        ids=["matrix", "pauli"],
+    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_entry_is_never_pruned_into_a_distance(self, bad, rng):
-        # |000><111| reaches no reduced state: only the full register's
-        # Frobenius bound sees it, ahead of any eigensolve
-        mats = [np.array(random_density(3, rng).mat) for _ in range(3)]
-        mats[1][0, 7] = mats[1][7, 0] = bad
-        states = [DensityMatrix(3, m) for m in mats]
-        with np.errstate(invalid="ignore"), pytest.raises(
-            ArithmeticError, match="non-finite trace distance"
-        ):
+    def test_a_non_finite_entry_is_never_pruned_into_a_distance(self, bad, held, message, rng):
+        states = [random_density(3, rng) for _ in range(3)]
+        if held == "matrix":  # checked where it enters coefficient form
+            mat = np.array(states[1].mat)
+            mat[0, 7] = mat[7, 0] = bad
+            states[1] = DensityMatrix(3, mat)
+        else:
+            # the all-X coefficient reaches no reduced state: only the full
+            # register's Frobenius bound sees it, ahead of any eigensolve
+            coeffs = np.array(states[1].pauli)
+            coeffs[np.ravel_multi_index((1, 1, 1), (4, 4, 4))] = bad
+            states[1] = DensityMatrix._from_pauli(3, coeffs)
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match=message):
             max_profile(states)
+
+    @pytest.mark.parametrize("gap", [None, 1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    def test_the_bound_is_half_the_coefficient_distance(self, gap, width, rng):
+        # sqrt(d) / 2 * ||red_a - red_b||_F from the matrix partial trace, on
+        # random states and on near-equal ones (gap), where the Gram form
+        # cancels and the reduced differences keep 1e-16 absolute accuracy
+        mats = [random_density(width, rng).mat for _ in range(4)]
+        if gap is not None:
+            mats = [(1 - gap) * mats[0] + gap * m for m in mats]
+        states = [DensityMatrix(width, m) for m in mats]
+        iu, ju = np.triu_indices(len(states), 1)
+        for size in range(1, width + 1):
+            for keep in itertools.combinations(range(width), size):
+                red = np.stack([partial_trace(s, keep).pauli for s in states])
+                dense = [dense_partial_trace(m, keep) for m in mats]
+                diffs = [dense[a] - dense[b] for a, b in zip(iu, ju)]
+                want = np.array([math.sqrt(2**size) / 2 * np.linalg.norm(x) for x in diffs])
+                half = 0.5 * np.linalg.norm(red[iu] - red[ju], axis=1)
+                assert np.allclose(half, want, rtol=1e-12, atol=1e-15)
+                # the Gram form reads at least that, and above it by at most
+                # twice the rounding allowance it adds back
+                got = decolab.analysis._frobenius_bounds(red, iu, ju)
+                norms = (red**2).sum(axis=1)
+                allowance = (red.shape[1] + 4) * np.finfo(float).eps * (norms[iu] + norms[ju])
+                assert (got >= want * (1 - 1e-12)).all()
+                assert (got**2 <= want**2 + allowance / 2).all()
+                dist = [0.5 * np.abs(np.linalg.eigvalsh(x)).sum() for x in diffs]
+                assert (got >= dist).all()
 
 
 def _start_up(monkeypatch) -> None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import decolab.analysis
 import decolab.circuit
 import decolab.cli
+import decolab.linalg
 from decolab.channels import GATES, QuantumChannel, channel_validate
 from decolab.circuit import Trajectory, random_circuit, serialize_circuit
 from decolab.cli import main
@@ -197,16 +198,26 @@ class TestSimulate:
         assert code == 4
         assert "non-finite trace distance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "held, message",
+        [("matrix", "state has a non-finite entry"), ("pauli", "non-finite trace distance")],
+        ids=["matrix", "pauli"],
+    )
     def test_numerical_failure_in_a_late_level_worker_exits_4(
-        self, wire11_path, tmp_path, monkeypatch, capsys
+        self, held, message, wire11_path, tmp_path, monkeypatch, capsys
     ):
         run_noisy = decolab.analysis.run_noisy
 
         def nan_final_level(circuit, eta, rho0, extra_noise_round=False):
             levels = list(run_noisy(circuit, eta, rho0, extra_noise_round).levels)
-            mat = np.array(levels[-1].mat)
-            mat[0, 1] = mat[1, 0] = np.nan
-            levels[-1] = DensityMatrix(1, mat)
+            if held == "matrix":  # fails where it enters coefficient form
+                mat = np.array(levels[-1].mat)
+                mat[0, 1] = mat[1, 0] = np.nan
+                levels[-1] = DensityMatrix(1, mat)
+            else:  # the X coefficient: only the full register's bound sees it
+                coeffs = np.array(levels[-1].pauli)
+                coeffs[1] = np.nan
+                levels[-1] = DensityMatrix._from_pauli(1, coeffs)
             return Trajectory(tuple(levels))
 
         max_profile = decolab.analysis.max_profile
@@ -228,7 +239,7 @@ class TestSimulate:
             code = main(["simulate", "--circuit", wire11_path, "--eta", "0.5",
                          "--output", str(tmp_path / "r.csv")])
         assert code == 4
-        assert "non-finite trace distance" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
 
     def test_eigensolve_counters_on_stderr_only(self, tmp_path, capsys):
@@ -361,6 +372,20 @@ class TestCheck:
                      "--trials", "5", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "noise-action" in out and "PASS" in out
+
+    def test_noise_action_suite_converts_each_trial_once(self, monkeypatch):
+        # every subset and eta reads the trial's coefficients; a matrix-held
+        # state would be converted on each read, 64 times a trial at 3 qubits
+        convert, calls = decolab.linalg.pauli_coefficients, []
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return convert(mat)
+
+        monkeypatch.setattr(decolab.linalg, "pauli_coefficients", counting)
+        assert main(["check", "--suite", "noise-action", "--qubits", "3",
+                     "--trials", "4", "--seed", "1"]) == 0
+        assert calls == [(8, 8)] * 4
 
     def test_contractivity_suite_small(self):
         assert main(["check", "--suite", "contractivity", "--trials", "20",

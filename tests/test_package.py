@@ -29,7 +29,8 @@ MODULES = [
 #: path (the trace check on each transfer matrix and on each state converted
 #: on the way in), and so did the matrix eigenvalue checks and the
 #: classical-qubit split, which ``trace_distance`` reads from the
-#: coefficients; a fresh matrix is never adopted in place
+#: coefficients; a fresh matrix is never adopted in place; the subset
+#: enumeration slices its reduced states out of the coefficients
 REMOVED = [
     "PSD_TOL",
     "TRACE_TOL",
@@ -42,6 +43,7 @@ REMOVED = [
     "_json_ready",
     "_log2_dim",
     "_split_eigenvalues",
+    "batched_partial_trace",
     "channel_apply",
     "depolarize_qubit",
     "dim",
