@@ -222,13 +222,19 @@ def _pure_factor(m: np.ndarray) -> np.ndarray | None:
     return f
 
 
-def _factors(states: Sequence[DensityMatrix]) -> np.ndarray | None:
+def _factors(states: Sequence[DensityMatrix], coeffs: np.ndarray) -> np.ndarray | None:
     """Certified pure factors of every state as one ``(states, dim)`` stack;
-    ``None`` once a state has none."""
+    ``None`` once a state has none, or, before any becomes a matrix, once a
+    purity ``sum_P c_P**2 / dim`` of the stack ``coeffs`` is below ``1 -
+    1e-6``.  A state :func:`_pure_factor` certifies has purity at least
+    ``(1 - 2 tol - 2 tol / sqrt(dim))**2 >= 1 - 8e-13``, and the sum over at
+    most ``4**12`` terms rounds by less than 2e-9: the cut rejects none."""
+    flat = coeffs.reshape(len(states), -1)
+    if (np.einsum("sp,sp->s", flat, flat) < (1 - 1e-6) * 2**states[0].qubits).any():
+        return None
     factors = []
     for s in states:
-        f = _pure_factor(s.mat)
-        if f is None:
+        if (f := _pure_factor(s.mat)) is None:
             return None
         factors.append(f)
     return np.stack(factors)
@@ -357,9 +363,8 @@ def _top_down(
     best = np.zeros((iu.size, qubits + 1))
     if iu.size == 0:
         return best, 0, 0, 0
-    # before ``_factors``: a state's first ``.mat`` read replaces its coefficients
     coeffs = np.stack([s.pauli for s in states]).reshape((len(states),) + (4,) * qubits)
-    factors = _factors(states)
+    factors = _factors(states, coeffs)
     # row ``mask`` (qubit ``q`` kept iff bit ``q`` is set) holds each pair's
     # distance once evaluated, its bound once skipped
     value = np.full((1 << qubits, iu.size), np.inf)
@@ -556,13 +561,13 @@ def _final_states(
     nor the distance to ``V (I/d) V^dagger = I/d``.  The circuit keeps that
     derived circuit, whose last layer compiles once, and the last call's
     ``(eta, probes, finals)``; a call with an equal ``eta`` and as many
-    probes, each the same or with an equal matrix, reuses those write-locked
+    probes, each the same or with equal coefficients, reuses those write-locked
     states of a deterministic run: bitwise a new run's."""
     probes = tuple(default_probes(circuit.in_width, seed) if probes is None else probes)
     cache = vars(circuit)  # frozen: cache in __dict__
     memo = cache.get("_verdict_finals")
     if memo and memo[0] == eta and len(memo[1]) == len(probes) and all(
-        a is b or np.array_equal(a.mat, b.mat) for a, b in zip(memo[1], probes)
+        a is b or np.array_equal(a.pauli, b.pauli) for a, b in zip(memo[1], probes)
     ):
         return memo[2]
     if "_verdict_circuit" not in cache:  # the last layer, if any, unitary-free

@@ -21,7 +21,7 @@ from . import analysis
 from .channels import GATES, channel_validate, random_channel
 from .circuit import CircuitError, CircuitLayer, PlacedGate, apply_layer, parse_circuit_file
 from .config import KRAUS_TOL, ResourceLimitError
-from .linalg import DensityMatrix, random_density, trace_distance
+from .linalg import random_density, trace_distance
 
 __all__ = ["main"]
 
@@ -165,9 +165,6 @@ def _check_noise_action(qubits: int, trials: int, seed: int) -> float:
     worst = 0.0
     for _ in range(trials):
         rho = random_density(qubits, rng)
-        # coefficient-held: every subset and eta reads them, and a matrix
-        # would be converted again on each read
-        rho = DensityMatrix._from_pauli(qubits, rho.pauli)
         for eta in (0.0, 0.3, 0.7, 1.0):
             for b in subsets:
                 worst = max(worst, analysis.check_noise_action(rho, b, eta))

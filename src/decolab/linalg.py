@@ -2,11 +2,10 @@
 
 States are density matrices (Hermitian, PSD, trace 1); qubit 0 is the most
 significant tensor factor, so basis index ``b`` encodes the bit string
-``b_0 b_1 ... b_{n-1}`` read left to right.  The simulator holds a state as
-its ``4**n`` real Pauli coefficients ``c_P = tr(P rho)``, one leg per qubit
-indexed ``(I, X, Y, Z)``, qubit 0 leading; trace distances and reduced
-states read them, and eigensolves take matrices converted from them.  This
-module owns both layouts and the conversions.  All functions are pure and all
+``b_0 b_1 ... b_{n-1}`` read left to right.  A state is its ``4**n`` real
+Pauli coefficients ``c_P = tr(P rho)``, one leg per qubit indexed ``(I, X,
+Y, Z)``, qubit 0 leading; a given matrix is converted to them once, and
+eigensolves take matrices built from them.  All functions are pure and all
 values are treated as immutable (buffers are write-locked).
 """
 
@@ -60,10 +59,10 @@ class DensityMatrix:
 
     The zero-qubit state is the 1x1 matrix ``[[1]]`` (a scalar register),
     which is what fan-in-0 preparation gates consume.  A state holds one
-    form: a state given as a matrix converts it on each read of
-    :attr:`pauli`, and one made from coefficients (by the simulator,
-    :meth:`maximally_mixed` or :func:`partial_trace`) keeps them until the
-    first read of :attr:`mat` replaces them with the matrix.
+    field, converted one way: a given matrix until the first read of
+    :attr:`pauli` replaces it with the coefficients, which a state made by
+    the simulator, :meth:`maximally_mixed` or :func:`partial_trace` holds
+    from the start.  A read of the field sees one form, in any thread.
     """
 
     def __init__(self, qubits: int, mat: np.ndarray) -> None:
@@ -72,7 +71,7 @@ class DensityMatrix:
             raise ValueError(
                 f"state with {qubits} qubits needs dim {2**max(qubits, 0)}, got {m.shape[0]}"
             )
-        self._qubits, self._mat, self._pauli = qubits, _locked(m.copy()), None
+        self._qubits, self._form = qubits, _locked(m.copy())
 
     def __repr__(self) -> str:  # matrices are noise in tracebacks
         return f"DensityMatrix(qubits={self.qubits})"
@@ -81,7 +80,7 @@ class DensityMatrix:
     def _from_pauli(cls, qubits: int, coeffs: np.ndarray) -> "DensityMatrix":
         """Write-lock fresh real coefficients that the caller never writes again."""
         state = object.__new__(cls)
-        state._qubits, state._mat, state._pauli = qubits, None, _locked(coeffs)
+        state._qubits, state._form = qubits, _locked(coeffs)
         return state
 
     @property
@@ -90,28 +89,25 @@ class DensityMatrix:
 
     @property
     def mat(self) -> np.ndarray:
-        """The density matrix, write-locked.  Built from real coefficients,
-        it is exactly Hermitian: ``m == m.conj().T`` bitwise."""
-        c, m = self._pauli, self._mat  # in this order: ``_mat`` is set before ``_pauli`` clears
-        if m is None:
-            m = self._mat = _locked(pauli_matrices(c))
-            self._pauli = None
-        return m
+        """The density matrix, write-locked: the given one while held, else
+        one built afresh from the coefficients, kept nowhere, exactly Hermitian."""
+        form = self._form
+        return form if form.ndim == 2 else _locked(pauli_matrices(form))
 
     @property
     def pauli(self) -> np.ndarray:
         """The ``4**n`` real coefficients ``c_P = tr(P rho)``, write-locked.
 
-        A matrix is checked here, where it enters coefficient form, then
-        converted and divided by ``c_I``, so ``c_I`` is exactly 1.  A
-        non-finite entry anywhere raises ``ArithmeticError``: the products by
-        0 in the conversion carry it into ``c_I`` as NaN.  An anti-Hermitian
-        part beyond ``HERM_TOL`` raises ``ValueError``, and a trace further
-        than ``TRACE_RENORM_LIMIT`` from 1 raises ``ArithmeticError``.
+        A given matrix is checked here, where it enters coefficient form,
+        converted, divided by ``c_I`` (so ``c_I`` is exactly 1) and replaced.
+        A non-finite entry anywhere raises ``ArithmeticError``: the products
+        by 0 in the conversion carry it into ``c_I`` as NaN.  An
+        anti-Hermitian part beyond ``HERM_TOL`` raises ``ValueError``, and a
+        trace further than ``TRACE_RENORM_LIMIT`` from 1 raises ``ArithmeticError``.
         """
-        if (c := self._pauli) is not None:  # read once: another thread may clear it
-            return c
-        m = self._mat  # set before ``_pauli`` clears
+        m = self._form
+        if m.ndim == 1:
+            return m
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries raise below
             # one temporary and its moduli; a NaN residual passes to the trace check
             anti = np.conjugate(m.T, out=np.empty(m.shape, dtype=np.complex128))
@@ -127,7 +123,8 @@ class DensityMatrix:
         if not abs(trace - 1.0) <= TRACE_RENORM_LIMIT:
             raise ArithmeticError(f"state trace drifted to {trace!r}; refusing to renormalize")
         c /= c[0]
-        return _locked(c)
+        self._form = c = _locked(c)
+        return c
 
     @classmethod
     def basis_state(cls, qubits: int, index: int) -> "DensityMatrix":
@@ -172,11 +169,11 @@ _LEG_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -
 _LEG_TO_MATRIX = np.array([[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1]]) / 2
 
 
-@functools.lru_cache(maxsize=2)
+@functools.cache
 def _y_signs(qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """By the number ``m`` of ``Y`` legs of each Pauli string on ``qubits``
-    legs: ``(Re + Im)(i**m) / 2`` (the half :func:`pauli_matrices`
-    symmetrizes with) and ``(Re - Im)(i**m)``, exact in ``float32``."""
+    legs: ``(Re + Im)(i**m) / 2`` (the half :func:`pauli_matrices` symmetrizes
+    with) and ``(Re - Im)(i**m)``, exact in ``float32``; kept per leg count."""
     ys = functools.reduce(np.add.outer, [np.array([0, 0, 1, 0], np.int8)] * qubits, np.int8(0))
     ys = np.reshape(ys % 4, -1)
     to_matrix, to_pauli = np.array([[0.5, 0.5, -0.5, -0.5], [1, -1, -1, 1]], dtype=np.float32)

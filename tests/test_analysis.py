@@ -44,6 +44,7 @@ from decolab.linalg import (
     haar_unitary,
     limit_blas_threads,
     partial_trace,
+    pauli_matrices,
     random_density,
     random_pure_state,
     trace_distance,
@@ -369,6 +370,30 @@ class TestPureFactor:
         assert decolab.analysis._pure_factor(m + drift) is None
         monkeypatch.setattr(decolab.analysis, "_FACTOR_TOL", 1e-8)
         assert decolab.analysis._pure_factor(m + drift).shape == (16,)
+
+    @pytest.mark.parametrize("qubits", range(1, 9))
+    def test_pure_levels_get_factors(self, qubits, rng):
+        given = [random_pure_state(qubits, rng) for _ in range(2)]
+        # one round-tripped through the matrix built from its coefficients
+        states = given + [DensityMatrix(qubits, pauli_matrices(given[1].pauli))]
+        coeffs = np.stack([s.pauli for s in states])
+        factors = decolab.analysis._factors(states, coeffs)
+        assert factors.shape == (3, 2**qubits)
+        for s, f in zip(states, factors):
+            assert 0.5 * np.sqrt(2**qubits) * np.linalg.norm(s.mat - np.outer(f, f.conj())) <= 1e-13
+
+    def test_a_mixed_level_is_rejected_before_any_matrix(self, rng, monkeypatch):
+        states = _depolarized([random_pure_state(5, rng) for _ in range(3)], 0.3)
+        coeffs = np.stack([s.pauli for s in states])
+        # ``.mat`` converts through the module's name; the enumeration's own
+        # subset conversions through ``decolab.analysis``'s are not counted
+        convert, calls = decolab.linalg.pauli_matrices, []
+        monkeypatch.setattr(
+            decolab.linalg, "pauli_matrices", lambda c: calls.append(c.shape) or convert(c)
+        )
+        assert decolab.analysis._factors(states, coeffs) is None
+        max_profile(states)
+        assert calls == []
 
 
 def _depolarized(states, eta: float) -> list[DensityMatrix]:
@@ -904,8 +929,10 @@ class TestWorthlessness:
             assert value == verdict(mixed_circuit(np.random.default_rng(5), 7, 3), *args, **kwargs)
             return count
 
-        assert applied(practically_worthless, 0.3, probes=probes) == 3 * 3
+        # copies of the given matrices, made while the probes still hold them:
+        # converting equal matrices gives equal coefficients
         copies = [DensityMatrix(p.qubits, p.mat.copy()) for p in probes]
+        assert applied(practically_worthless, 0.3, probes=probes) == 3 * 3
         assert applied(worthless, 0.3, probes=copies) == 0
         assert applied(worthless, 0.4, probes=probes) == 3 * 3
         assert applied(worthless, 0.4, probes=probes[:2]) == 2 * 3
@@ -996,6 +1023,16 @@ class TestDistanceReport:
     def test_needs_two_probes(self):
         with pytest.raises(ValueError, match="two probe"):
             distance_report(wire_circuit(1), 0.5, make_probes("basis", 1)[:1])
+
+    def test_sign_tables_are_built_once_per_leg_count(self, monkeypatch):
+        signs, legs = decolab.linalg._y_signs, set()
+        monkeypatch.setattr(decolab.linalg, "_y_signs", lambda n: legs.add(n) or signs(n))
+        # one level at a time: two threads' first reads of one leg count could race
+        _use_cpus(monkeypatch, 1)
+        signs.cache_clear()
+        report = distance_report(random_circuit(2, 7, 4, seed=5), 0.3, make_probes("random:3", 7))
+        assert report.workers == 1 and len(legs) > 2
+        assert signs.cache_info().misses <= len(legs)
 
 
 class TestRecursionSteps:

@@ -872,16 +872,18 @@ class TestBuffers:
 
     def test_inputs_are_left_unchanged(self, rng):
         rho = random_density(4, rng)
-        before = rho.mat.copy()
+        given, before = rho.mat.copy(), rho.pauli.copy()
         layer = random_mixed_layer(np.random.default_rng(5), 4)
         outputs = [
             depolarize_qubit(rho, 2, 0.4),
             depolarize_all(rho, 0.4),
             apply_layer(layer, rho),
         ]
-        assert np.array_equal(rho.mat, before) and not rho.mat.flags.writeable
+        assert np.array_equal(rho.pauli, before) and not rho.pauli.flags.writeable
+        # the given matrix is gone; the one built from its coefficients is within rounding
+        assert np.max(np.abs(rho.mat - given)) <= 1e-15
         for out in outputs:
-            assert not np.shares_memory(out.mat, rho.mat)
+            assert not np.shares_memory(out.pauli, rho.pauli)
 
     @pytest.mark.parametrize("extra", [False, True])
     def test_levels_are_locked_and_disjoint(self, rng, extra):

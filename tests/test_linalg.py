@@ -362,12 +362,15 @@ class TestClassicalSplit:
         # one classical qubit of seven; in the middle, its blocks need a
         # gather; refreshed, its |1> half is zero and needs no solve
         given = [_classical_state(_rand_state(rng, 7).mat, qubit, refreshed) for _ in range(2)]
+        # given as a matrix and not yet read: its first read converts it
+        fresh = DensityMatrix(7, given[0].mat)
+        matrix_bytes = fresh.mat.nbytes
         # held as coefficients, as the simulator holds its states
         held = [DensityMatrix._from_pauli(7, s.pauli.copy()) for s in given]
         trace_distance(*held)  # builds the cached sign table of the blocks' width
         seen, _ = _recorded_eigvalsh(monkeypatch)
         peaks = []
-        for run in (lambda: given[0].pauli, lambda: trace_distance(*held)):
+        for run in (lambda: fresh.pauli, lambda: trace_distance(*held)):
             tracemalloc.start()
             try:
                 run()
@@ -379,7 +382,7 @@ class TestClassicalSplit:
         # matrix peak at 1.51 matrices, the split of two states held as
         # coefficients at 0.82-1.26
         check, split = peaks
-        assert split < min(check, 1.3 * given[0].mat.nbytes)
+        assert split < min(check, 1.3 * matrix_bytes)
 
 
 def _wire_circuit(qubits: int):
@@ -529,16 +532,40 @@ class TestDensityMatrix:
         with pytest.raises(AttributeError):
             DensityMatrix.basis_state(1, 0).qubits = 2
 
-    def test_threads_reading_one_state_share_its_matrix(self, rng):
-        c = _rand_state(rng, 4).pauli
-        reference = DensityMatrix._from_pauli(4, c.copy()).mat
-        with ThreadPoolExecutor(4) as pool:
-            for _ in range(20):
-                state = DensityMatrix._from_pauli(4, c.copy())
-                reads = list(pool.map(lambda i: state.mat if i % 2 else state.pauli, range(8)))
-                assert all(np.array_equal(m, reference) for m in reads[1::2])
-                # a read after another thread converted goes back through the matrix
-                assert all(np.max(np.abs(p - c)) < 1e-15 for p in reads[::2])
+    def test_threads_reading_a_given_matrix_see_one_form(self, rng):
+        m = _rand_state(rng, 4).mat
+        reference = DensityMatrix(4, m).pauli
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(20):
+                    state = DensityMatrix(4, m)
+                    reads = list(pool.map(lambda i: state.mat if i % 2 else state.pauli, range(8)))
+                    # converting the same matrix twice gives bitwise-equal coefficients
+                    assert all(np.array_equal(c, reference) for c in reads[::2])
+                    # the given matrix, or one built from the coefficients after a conversion
+                    assert all(np.max(np.abs(r - m)) <= 1e-15 for r in reads[1::2])
+                    # it ends up holding coefficients that one of the reads returned
+                    assert any(state.pauli is c for c in reads[::2])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_reading_the_matrix_keeps_the_coefficients(self, rng):
+        state = DensityMatrix._from_pauli(3, _rand_state(rng, 3).pauli.copy())
+        c, m = state.pauli, state.mat
+        assert state.pauli is c and state.mat is not m and np.array_equal(state.mat, m)
+
+    def test_a_given_matrix_is_converted_once(self, rng, monkeypatch):
+        convert, calls = decolab.linalg.pauli_coefficients, []
+        monkeypatch.setattr(
+            decolab.linalg, "pauli_coefficients", lambda m: calls.append(m.shape) or convert(m)
+        )
+        rho = _rand_state(rng, 3)
+        partial_trace(rho, [0, 2])
+        trace_distance(rho, DensityMatrix.maximally_mixed(3))
+        decolab.analysis.check_noise_action(rho, (0, 1), 0.3)
+        assert calls == [(8, 8)]
 
     def test_pauli_refuses_large_trace_drift(self):
         with pytest.raises(ArithmeticError, match="drifted to 1.2"):
