@@ -7,12 +7,16 @@ qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
 evaluated, or, for the maximum over pairs (:func:`max_profile`), where
 half the distance of a pair's Pauli coefficients, ``sqrt(d) / 2 *
-||rho_a - rho_b||_F``, proves it no larger than the record.  Where every
-state of a level has a certified pure factor ``rho ~ f f^dagger``
-(``sqrt(dim) / 2 * ||rho - f f^dagger||_F <= 1e-13``, so each subset
-distance moves by at most ``2e-13``), a subset's distance
-comes from a small ``R J R^dagger`` eigenproblem instead of the dense one;
-pure levels, such as the first two of a unitary circuit, take that path.
+||rho_a - rho_b||_F``, proves it no larger than the record, or where a
+pair's two states are certified products of their one-qubit marginals
+(within ``1e-13`` each) and the subset holds a qubit on which the two
+marginals are equal, which proves it no larger, up to ``4e-13``, than a
+subset that was evaluated.  Where every state of a level has a certified
+pure factor ``rho ~ f f^dagger`` (``sqrt(dim) / 2 * ||rho - f
+f^dagger||_F <= 1e-13``, so each subset distance moves by at most
+``2e-13``), a subset's distance comes from a small ``R J R^dagger``
+eigenproblem instead of the dense one; pure levels, such as the first two
+of a unitary circuit, take that path.
 :func:`distance_report` enumerates its levels side by side on ``usable
 CPUs // BLAS threads`` threads (at least one), with the same result as one
 level after another.  On the analytic side, the scalar recursion
@@ -201,8 +205,10 @@ def _subsets(qubits: int):
 #: pair count, is what grows with the register (1 MiB a matrix at width 8)
 _DIFF_BYTES = 2 << 20
 
-#: certificate of the pure factors: each state's factor is within this
-#: (half trace norm) of it, so every subset distance moves by at most 2 * tol
+#: certificate of a state's pure factor or product of one-qubit marginals:
+#: each lies within this of the state (half trace norm), so a subset
+#: distance read from factors moves by at most 2 * tol, and a product prune
+#: misses by at most 4 * tol
 _FACTOR_TOL = 1e-13
 
 
@@ -238,6 +244,36 @@ def _factors(states: Sequence[DensityMatrix], coeffs: np.ndarray) -> np.ndarray 
             return None
         factors.append(f)
     return np.stack(factors)
+
+
+def _product_masks(coeffs: np.ndarray, iu, ju) -> np.ndarray:
+    """Per pair ``(iu, ju)`` of the stack ``coeffs`` (``(states,) + (4,) *
+    qubits``), the qubits (bit ``q`` for qubit ``q``) where its two states'
+    one-qubit marginals differ; all qubits unless both states are certified
+    products on two or more qubits.  The marginal ``r_q`` is the slice with
+    ``I`` on every other leg, and a state is certified when ``||c - (x)_q
+    r_q|| / 2``, which bounds half the trace norm of ``rho - (x)_q r_q``,
+    stays within ``_FACTOR_TOL`` with the computed product's rounding,
+    ``qubits * eps * ||(x)_q r_q||``, added to the norm; a NaN fails it."""
+    n, qubits = coeffs.shape[0], coeffs.ndim - 1
+    everything = (1 << qubits) - 1
+    marginals = [
+        coeffs[(slice(None),) + (0,) * q + (slice(None),) + (0,) * (qubits - 1 - q)]
+        for q in range(qubits)
+    ]
+    masks = np.zeros(iu.size, dtype=np.int64)
+    for q, r in enumerate(marginals):
+        masks |= (r[iu] != r[ju]).any(axis=1).astype(np.int64) << q
+    # nothing to prune, or on one qubit only a 2x2 solve of two equal states
+    if qubits < 2 or (masks == everything).all():
+        return np.full(iu.size, everything)
+    product = np.ones((n, 1))
+    for r in marginals:  # qubit 0 leading, as in the stack
+        product = (product[:, :, None] * r[:, None, :]).reshape(n, -1)
+    residual = np.linalg.norm(coeffs.reshape(n, -1) - product, axis=1)
+    rounding = qubits * np.finfo(float).eps * np.linalg.norm(product, axis=1)
+    certified = 0.5 * (residual + rounding) <= _FACTOR_TOL
+    return np.where(certified[iu] & certified[ju], masks, everything)
 
 
 def _chunks(todo: np.ndarray, pair_bytes: int):
@@ -344,6 +380,21 @@ def _top_down(
     of size ``s`` with ``w = 2**(qubits - s) * 2 < 2**s`` is solved as a
     ``w x w`` eigenproblem instead of a ``2**s x 2**s`` one.
 
+    When both states of a pair are certified products of their one-qubit
+    marginals (:func:`_product_masks`, within ``tau = _FACTOR_TOL`` each, on
+    two or more qubits), a qubit where the two marginals are equal holds the
+    same factor in both, and ``||A (x) C - B (x) C||_1 = ||A - B||_1`` drops
+    it.  So only subsets of the pair's mask ``E`` of differing qubits are
+    visited, and a skipped one keeps its data-processing bound as its value.
+    A subset ``S`` of size ``s <= |E|`` has ``D(S) <= D(T) + 4 tau`` for some
+    ``T`` of size ``s`` inside ``E`` that holds ``S & E`` (the certificate on
+    both states, the factor identity, data processing); above ``|E|``,
+    ``D(S) <= D(E) + 4 tau``, which the profiles' running maximum over sizes
+    carries up.  With the ``2 tau`` of pure factors on top, every result
+    stays within ``6 tau = 6e-13`` of full enumeration.  Subsets are ordered
+    by their largest bound over the pairs they are visited for.  Non-product
+    levels keep every mask full and run as without it.
+
     Returns ``(best, eigensolves, factored, norm_pruned)``: ``best[j, s]`` is
     pair ``j``'s largest evaluated distance over subsets of size ``s``
     (column 0 is 0), exact per pair when ``per_pair`` and exact only in its
@@ -369,6 +420,9 @@ def _top_down(
     # distance once evaluated, its bound once skipped
     value = np.full((1 << qubits, iu.size), np.inf)
     masks = np.arange(1 << qubits)
+    # a (pair, subset) is visited only inside the qubits where the pair's states
+    # may differ: all of them unless both are certified products
+    eligible = (masks[:, None] & ~_product_masks(coeffs, iu, ju)) == 0
     sizes = np.array([int(m).bit_count() for m in masks])
     bits = 1 << np.arange(qubits)
     eigensolves = factored = norm_pruned = 0
@@ -378,9 +432,10 @@ def _top_down(
         bound = value[level[:, None] | bits].min(axis=1)
         value[level] = bound
         low_rank = factors is not None and (2 << (qubits - size)) < (1 << size)
-        for i in np.argsort(-bound.max(axis=1), kind="stable"):
+        order = np.where(eligible[level], bound, -np.inf).max(axis=1)
+        for i in np.argsort(-order, kind="stable"):
             record = best[:, size] if per_pair else best[:, size].max()
-            todo = np.flatnonzero(bound[i] > record)
+            todo = np.flatnonzero((bound[i] > record) & eligible[level[i]])
             if not todo.size:
                 continue
             keep = tuple(q for q in range(qubits) if level[i] >> q & 1)
@@ -419,8 +474,9 @@ def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
     ``p[j, n]`` is the maximum trace distance between matching reduced
     states over all qubit subsets of size at most ``n``, for the pair ``j``
     in ``itertools.combinations`` order.  It equals full enumeration within
-    rounding: subsets are pruned only where the data-processing inequality
-    proves them no larger than one evaluated for the same pair.
+    1e-12: subsets are pruned only where the data-processing inequality, or
+    on certified product states the factor identity too, proves them no
+    larger than one evaluated for the same pair (see :func:`_top_down`).
     """
     best = _top_down(states, per_pair=True)[0]
     return np.maximum.accumulate(best, axis=1)

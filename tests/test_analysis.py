@@ -628,6 +628,107 @@ class TestNormPruning:
                 assert (got >= dist).all()
 
 
+def _masks(states) -> np.ndarray:
+    """``_product_masks`` of every pair of ``states``."""
+    coeffs = np.stack([s.pauli for s in states]).reshape((len(states),) + (4,) * states[0].qubits)
+    iu, ju = np.triu_indices(len(states), 1)
+    return decolab.analysis._product_masks(coeffs, iu, ju)
+
+
+def _qubit_mask(basis_index: int, width: int) -> int:
+    """A basis index as a mask with bit ``q`` for qubit ``q`` (qubit 0 is
+    the index's most significant bit)."""
+    return int(format(basis_index, f"0{width}b")[::-1], 2)
+
+
+class TestProductLevels:
+    """A pair of certified product states is enumerated only on the qubits
+    where its one-qubit marginals differ."""
+
+    @pytest.mark.parametrize("extra_noise_round", [False, True])
+    @pytest.mark.parametrize("probes", ["basis", "pair:1,2"])
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.6, 1.0])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    def test_fan_in_one_levels_match_full_enumeration(self, width, eta, probes, extra_noise_round):
+        circuit = random_circuit(1, width, 3, seed=width)
+        trajectories = [
+            run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round)
+            for p in make_probes(probes, width)
+        ]
+        for level in range(circuit.depth + 1):
+            _matches_full_enumeration([t.levels[level] for t in trajectories])
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_pairs_with_an_entangled_state_keep_every_qubit(self, width):
+        states = [DensityMatrix.basis_state(width, b) for b in (0, 1, 3)] + [_ghz(width, 1)]
+        iu, ju = np.triu_indices(len(states), 1)
+        masks = _masks(states)
+        everything = (1 << width) - 1
+        assert (masks[ju == 3] == everything).all()
+        want = [_qubit_mask(a ^ b, width) for a, b in itertools.combinations((0, 1, 3), 2)]
+        assert masks[ju < 3].tolist() == want
+        _matches_full_enumeration(states)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_identical_product_states_run_no_eigensolve(self, width, monkeypatch):
+        states = [DensityMatrix.basis_state(width, 1)] * 4
+        seen = _count_eigensolves(monkeypatch)
+        assert not pairwise_profiles(states).any()
+        top = max_profile(states)
+        assert seen[0] == top.eigensolves == 0
+        assert not top.profile.any()
+
+    @pytest.mark.parametrize("extra_noise_round", [False, True])
+    @pytest.mark.parametrize("width", [2, 4, 6])
+    def test_basis_masks_are_the_index_xor(self, width, extra_noise_round):
+        circuit = random_circuit(1, width, 4, seed=5)
+        trajectories = [
+            run_noisy(circuit, 0.1, p, extra_noise_round=extra_noise_round)
+            for p in make_probes("basis", width)
+        ]
+        want = [
+            _qubit_mask(a ^ b, width) for a, b in itertools.combinations(range(2**width), 2)
+        ]
+        for level in range(circuit.depth + 1):
+            assert _masks([t.levels[level] for t in trajectories]).tolist() == want
+
+    def test_a_trace_of_entanglement_fails_the_certificate(self):
+        bell = np.zeros(8)
+        bell[0] = bell[6] = 1 / math.sqrt(2)  # qubits 0 and 1 entangled, qubit 2 in |0>
+        zero = DensityMatrix.basis_state(3, 0).mat
+        for weight, want in [(0.0, 0), (1e-10, 0b111)]:
+            mixed = DensityMatrix(3, (1 - weight) * zero + weight * DensityMatrix.pure(bell).mat)
+            states = [mixed, DensityMatrix(3, np.array(mixed.mat))]
+            assert _masks(states).tolist() == [want]
+            _matches_full_enumeration(states)
+
+    def test_wide_basis_levels_stay_certified_with_the_rounding_allowance(self, monkeypatch):
+        # width 10, eta 0: the allowance, half of 10 * eps * 2**5, is 3.6e-14 of the 1e-13
+        circuit = random_circuit(1, 10, 2, seed=4)
+        trajectories = [run_noisy(circuit, 0.0, p) for p in make_probes("pair:0,1", 10)]
+        seen = _count_eigensolves(monkeypatch)
+        for level in range(circuit.depth + 1):
+            states = [t.levels[level] for t in trajectories]
+            assert _masks(states).tolist() == [1 << 9]
+            # the two states differ on qubit 9 only: one 2x2 eigensolve
+            top = max_profile(states)
+            assert top.eigensolves == 1
+            assert np.max(np.abs(top.profile - np.array([0.0] + [1.0] * 10))) <= 1e-12
+        assert seen[0] == circuit.depth + 1
+
+    def test_a_fan_in_one_level_runs_fewer_eigensolves(self, monkeypatch):
+        circuit = random_circuit(1, 5, 4, seed=3)
+        trajectories = [run_noisy(circuit, 0.1, p) for p in make_probes("basis", 5)]
+        states = [t.levels[3] for t in trajectories]
+        seen = _count_eigensolves(monkeypatch)
+        pairwise_profiles(states)
+        # 6,109 when every (pair, subset) of the data-processing inequality ran
+        assert seen[0] == 2683
+        seen[0] = 0
+        # 3,106 likewise
+        assert max_profile(states).eigensolves == seen[0] == 1969
+
+
 def _start_up(monkeypatch) -> None:
     """Record the BLAS threads that the library reads at import from the
     environment as it stands now."""
