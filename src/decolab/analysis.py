@@ -5,9 +5,10 @@ largest trace distance between any matching reduced states of at most ``n``
 qubits at level ``i`` of two runs.  It equals full enumeration of every
 qubit subset within 1e-12: a subset is skipped only where the
 data-processing inequality proves it no larger than a subset that was
-evaluated, or, for the maximum over pairs (:func:`max_profile`), where
-half the distance of a pair's Pauli coefficients, ``sqrt(d) / 2 *
-||rho_a - rho_b||_F``, proves it no larger than the record, or where a
+evaluated, or where half the distance of a pair's Pauli coefficients,
+``sqrt(d) / 2 * ||rho_a - rho_b||_F``, proves it no larger than the record
+(the pair's own for :func:`pairwise_profiles`, the largest over pairs for
+:func:`max_profile`), or where a
 pair's two states are certified products of their one-qubit marginals
 (within ``1e-13`` each) and the subset holds a qubit on which the two
 marginals are equal, which proves it no larger, up to ``4e-13``, than a
@@ -33,6 +34,7 @@ saturates the aligned bound exactly, so the alignment is tight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -293,17 +295,31 @@ def _dense_distances(red, iu, ju, todo) -> np.ndarray:
 
 def _frobenius_bounds(coeffs, iu, ju) -> np.ndarray:
     """Upper bounds ``||c_i - c_j|| / 2 = sqrt(d) / 2 * ||red_i - red_j||_F``
-    on the distances of the pairs ``(iu, ju)`` of a ``(states, d**2)`` stack
-    of reduced coefficients (Cauchy-Schwarz on the ``d`` eigenvalues, and
-    ``||Delta||_F**2 = sum_P Delta c_P**2 / d``), from the Gram matrix of the
-    stack rather than from the differences.  The Gram entries are inner
+    on the distances of the pairs ``(iu, ju)`` of a ``(..., states, d**2)``
+    stack of reduced coefficients (Cauchy-Schwarz on the ``d`` eigenvalues,
+    and ``||Delta||_F**2 = sum_P Delta c_P**2 / d``), from the Gram matrix of
+    the stack rather than from the differences.  The Gram entries are inner
     products of length ``d**2``, each off by at most about ``d**2 u`` times
     the two norms; that much is added back before the square root, so
     cancellation between near-equal states can only raise a bound."""
-    gram = coeffs @ coeffs.T
-    both = gram.diagonal()[iu] + gram.diagonal()[ju]
-    squared = both - 2.0 * gram[iu, ju] + (coeffs.shape[1] + 4) * np.finfo(float).eps * both
+    gram = coeffs @ coeffs.swapaxes(-1, -2)
+    norms = gram.diagonal(axis1=-2, axis2=-1)
+    both = norms[..., iu] + norms[..., ju]
+    squared = both - 2.0 * gram[..., iu, ju] + (coeffs.shape[-1] + 4) * np.finfo(float).eps * both
     return 0.5 * np.sqrt(squared)
+
+
+def _capped(red, bound, iu, ju, keeps) -> np.ndarray:
+    """``bound`` (``(subsets, pairs)``, or ``(pairs,)`` for one subset)
+    lowered to the Frobenius bounds of the reduced coefficients ``red``
+    (``(subsets, states, d**2)``, or ``(states, d**2)``) on the qubits
+    ``keeps``.  A NaN bound would prune its pair, and every subset below
+    it, so a non-finite one raises."""
+    frobenius = _frobenius_bounds(red, iu, ju)
+    if not (finite := np.isfinite(frobenius)).all():
+        bad = keeps[int(np.flatnonzero(~finite.all(axis=-1))[0])]
+        raise ArithmeticError(f"non-finite trace distance bound on qubits {bad}")
+    return np.minimum(bound, frobenius)
 
 
 def _max_only_distances(coeffs, iu, ju, todo, ub, record) -> tuple[np.ndarray, np.ndarray]:
@@ -347,6 +363,99 @@ def _factored_distances(factors, qubits, keep, iu, ju, todo) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _factored_cells(factors, qubits, keeps, iu, ju, sub, pair) -> np.ndarray:
+    """Distances of the (subset, pair) cells ``(sub[c], pair[c])``, ``sub``
+    ascending, from the factors, one subset at a time."""
+    ends = np.append(np.flatnonzero(np.diff(sub)) + 1, sub.size)
+    return np.concatenate([
+        _factored_distances(factors, qubits, keeps[sub[a]], iu, ju, pair[a:b])
+        for a, b in zip(np.append(0, ends[:-1]), ends)
+    ])
+
+
+def _dense_cells(groups, converted, states, iu, ju, sub, pair) -> np.ndarray:
+    """The same from the reduced states ``converted(g)``, ``(states *
+    len(groups[g]), d, d)``, of each group ``groups[g]`` of subsets, in
+    eigensolve batches that may span the group's subsets."""
+    out = np.empty(sub.size)
+    for g, held in enumerate(groups):
+        lo, hi = np.searchsorted(sub, [held[0], held[-1] + 1])
+        if lo == hi:
+            continue
+        mats = None  # the previous group's states go first
+        mats = converted(g)
+        base = np.searchsorted(held, sub[lo:hi]) * states
+        # a batch's differences and the gather it subtracts share its bytes
+        for cells in _chunks(np.arange(hi - lo), 2 * mats[0].nbytes):
+            diff = np.take(mats, base[cells] + iu[pair[lo + cells]], axis=0)
+            diff -= np.take(mats, base[cells] + ju[pair[lo + cells]], axis=0)
+            out[lo + cells] = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return out
+
+
+def _require_finite(dist, keeps, sub) -> None:
+    # NaN compares False and would prune every subset below it
+    if not (finite := np.isfinite(dist)).all():
+        bad = keeps[int(sub[np.flatnonzero(~finite)[0]])]
+        raise ArithmeticError(f"non-finite trace distance on qubits {bad}")
+
+
+def _per_pair_size(coeffs, factors, qubits, keeps, bound, eligible, iu, ju):
+    """One subset size of the per-pair form, for the subsets ``keeps`` with
+    data-processing bounds ``bound`` (``(subsets, pairs)``), solved from the
+    factors when ``factors`` is given.  Returns each cell's value (its
+    distance where solved, its bound elsewhere), each pair's largest
+    distance, the cells eigensolved, and the cells the data-processing bound
+    left above their pair's record that the Frobenius bound skipped."""
+    n, d = coeffs.shape[0], 1 << len(keeps[0])
+    if factors is not None:
+        ub = bound
+        solve = functools.partial(_factored_cells, factors, qubits, keeps, iu, ju)
+    else:
+        red = np.stack([
+            coeffs[(slice(None),) + tuple(slice(None) if q in keep else 0 for q in range(qubits))]
+            .reshape(n, -1)
+            for keep in keeps
+        ])
+        if d == 2:
+            # a one-qubit difference (dc_I I + dc . sigma) / 2 has the
+            # eigenvalues (dc_I +- |dc|) / 2
+            diff = red[:, iu] - red[:, ju]
+            dist = 0.5 * np.maximum(np.abs(diff[..., 0]), np.linalg.norm(diff[..., 1:], axis=-1))
+            _require_finite(dist.ravel(), keeps, np.arange(dist.size) // iu.size)
+            return dist, dist.max(axis=0), 0, 0
+        ub = _capped(red, bound, iu, ju, keeps)
+        # the subsets with a cell to solve, converted as many at a time as fit
+        # in one batch's bytes (complex from real); one group serves both batches
+        need = np.flatnonzero((eligible & (ub > 0)).any(axis=1))
+        step = max(1, _DIFF_BYTES // (2 * red[0].nbytes))
+        groups = [need[g : g + step] for g in range(0, need.size, step)]
+        converted = lambda g: pauli_matrices(red[groups[g]]).reshape(-1, d, d)
+        if len(groups) == 1:
+            converted = functools.cache(converted)
+        solve = functools.partial(_dense_cells, groups, converted, n, iu, ju)
+    value = ub.copy()
+    left = np.where(eligible, ub, -np.inf)  # the eligible cells not yet solved
+    record = np.zeros(iu.size)
+    # each pair's highest-bound cell first, then every cell above its pair's record
+    top = np.argmax(left, axis=0)
+    first = np.flatnonzero(left[top, np.arange(iu.size)] > 0)
+    first = first[np.argsort(top[first], kind="stable")]
+    solved = 0
+    for batch in [(top[first], first), None]:
+        sub, pair = np.nonzero(left > record) if batch is None else batch
+        if not sub.size:
+            continue
+        dist = solve(sub, pair)
+        _require_finite(dist, keeps, sub)
+        value[sub, pair] = dist
+        left[sub, pair] = -np.inf
+        np.maximum.at(record, pair, dist)
+        solved += sub.size
+    norm_pruned = 0 if factors is not None else int(((left > -np.inf) & (bound > record)).sum())
+    return value, record, solved, norm_pruned
+
+
 def _top_down(
     states: Sequence[DensityMatrix], per_pair: bool
 ) -> tuple[np.ndarray, int, int, int]:
@@ -355,26 +464,31 @@ def _top_down(
 
     A partial trace is a channel, so a pair's distance on a subset never
     exceeds its distance on any superset (Nielsen & Chuang, Thm 9.2).  Sizes
-    run from the full register down; each (pair, subset) is bounded by the
-    minimum over its one-larger parents of their distance, or of their own
-    bound where they were skipped.  Within a size, subsets are visited in
-    descending order of bound, and a pair is eigensolved only when its bound
-    exceeds the best distance already found at that size: that pair's best
-    when ``per_pair``, the best over all pairs otherwise.  Every skipped
-    subset is thus provably no larger than one that was evaluated.
-
-    Dense subsets read the reduced states as slices of the stacked Pauli
-    coefficients (``I`` on every traced leg), converted to matrices once a
-    subset, and only for a subset with a pair to eigensolve.  Without ``per_pair``, each remaining pair is bounded further by
-    half the distance of its reduced coefficients, ``sqrt(d) / 2 *
+    run from the full register down; each (pair, subset) cell is bounded by
+    the minimum over its one-larger parents of their distance, or of their
+    own bound where they were skipped.  On dense sizes the bound is lowered
+    to half the distance of the pair's reduced coefficients, ``sqrt(d) / 2 *
     ||Delta||_F >= ||Delta||_1 / 2`` (Cauchy-Schwarz on the ``d``
     eigenvalues), an O(d**2) Gram-matrix step ahead of the O(d**3)
-    eigensolve: the pair with the largest bound is solved first, then only
-    the pairs whose bound exceeds the record, and a skipped pair keeps its
-    bound as its value.  This also prunes the full register, whose
-    data-processing bound is ``+inf``.  The per-pair form does without it:
-    there each pair's own record is the one to beat, and the bound cut its
-    eigensolves by 17% (66,964 -> 55,684) with no gain in time.
+    eigensolve that also prunes the full register, whose data-processing
+    bound is ``+inf``.  A cell is eigensolved only when its bound exceeds the
+    best distance already found at that size: that pair's best when
+    ``per_pair``, the best over all pairs otherwise.  A skipped cell keeps
+    its bound as its value, so every skipped subset is provably no larger
+    than one that was evaluated.
+
+    Dense subsets read the reduced states as slices of the stacked Pauli
+    coefficients (``I`` on every traced leg).  Without ``per_pair``, subsets
+    are visited one at a time in descending order of data-processing bound,
+    each converted to matrices only when a pair is left to eigensolve; the
+    pair with the largest bound is solved first, then only the pairs whose
+    bound exceeds the record.  With ``per_pair``, a size runs as two
+    eigensolve batches: each pair's highest-bound cell, then every cell
+    still above its pair's record.  The subsets with a cell to solve are
+    converted in groups that fit one batch's bytes, and a size that fits in
+    one group is converted once.  One-qubit cells take no eigensolve: the
+    difference ``(dc_I I + dc . sigma) / 2`` has the eigenvalues ``(dc_I +-
+    |dc|) / 2``, so with equal traces the Frobenius bound is the distance.
 
     When every state has a certified pure factor (:func:`_factors`), a subset
     of size ``s`` with ``w = 2**(qubits - s) * 2 < 2**s`` is solved as a
@@ -399,9 +513,10 @@ def _top_down(
     pair ``j``'s largest evaluated distance over subsets of size ``s``
     (column 0 is 0), exact per pair when ``per_pair`` and exact only in its
     maximum over pairs otherwise; ``eigensolves`` counts the (pair, subset)
-    distances computed, ``factored`` those among them solved from the
+    distances eigensolved, ``factored`` those among them solved from the
     factors, and ``norm_pruned`` the (pair, subset)s the data-processing
-    bound left to solve that the Frobenius bound skipped.
+    bound left to solve (per pair: above the pair's record at that size)
+    that the Frobenius bound skipped.
     """
     if not states:
         return np.zeros((0, 1)), 0, 0, 0
@@ -432,9 +547,18 @@ def _top_down(
         bound = value[level[:, None] | bits].min(axis=1)
         value[level] = bound
         low_rank = factors is not None and (2 << (qubits - size)) < (1 << size)
+        if per_pair:
+            keeps = [tuple(q for q in range(qubits) if m >> q & 1) for m in level]
+            value[level], best[:, size], solved, pruned = _per_pair_size(
+                coeffs, factors if low_rank else None, qubits, keeps, bound, eligible[level], iu, ju
+            )
+            eigensolves += solved
+            factored += solved if low_rank else 0
+            norm_pruned += pruned
+            continue
         order = np.where(eligible[level], bound, -np.inf).max(axis=1)
         for i in np.argsort(-order, kind="stable"):
-            record = best[:, size] if per_pair else best[:, size].max()
+            record = best[:, size].max()
             todo = np.flatnonzero((bound[i] > record) & eligible[level[i]])
             if not todo.size:
                 continue
@@ -447,16 +571,9 @@ def _top_down(
                 # the reduced states' coefficients: ``I`` on every traced leg
                 legs = tuple(slice(None) if q in keep else 0 for q in range(qubits))
                 red = coeffs[(slice(None),) + legs].reshape(len(states), -1)
-                if per_pair:
-                    dist = _dense_distances(pauli_matrices(red), iu, ju, todo)
-                else:
-                    frobenius = _frobenius_bounds(red, iu[todo], ju[todo])
-                    # a NaN bound would prune its pair, and every subset below it
-                    if not np.isfinite(frobenius).all():
-                        raise ArithmeticError(f"non-finite trace distance bound on qubits {keep}")
-                    ub = np.minimum(bound[i, todo], frobenius)
-                    dist, solved = _max_only_distances(red, iu, ju, todo, ub, record)
-                    norm_pruned += todo.size - int(solved.sum())
+                ub = _capped(red, bound[i, todo], iu[todo], ju[todo], [keep])
+                dist, solved = _max_only_distances(red, iu, ju, todo, ub, record)
+                norm_pruned += todo.size - int(solved.sum())
             # NaN compares False and would prune every subset below it
             if not np.isfinite(dist[solved]).all():
                 raise ArithmeticError(f"non-finite trace distance on qubits {keep}")
@@ -474,9 +591,10 @@ def pairwise_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
     ``p[j, n]`` is the maximum trace distance between matching reduced
     states over all qubit subsets of size at most ``n``, for the pair ``j``
     in ``itertools.combinations`` order.  It equals full enumeration within
-    1e-12: subsets are pruned only where the data-processing inequality, or
-    on certified product states the factor identity too, proves them no
-    larger than one evaluated for the same pair (see :func:`_top_down`).
+    1e-12: subsets are pruned only where the data-processing inequality or
+    the Frobenius bound, or on certified product states the factor identity
+    too, proves them no larger than one evaluated for the same pair (see
+    :func:`_top_down`).
     """
     best = _top_down(states, per_pair=True)[0]
     return np.maximum.accumulate(best, axis=1)

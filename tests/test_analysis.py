@@ -545,6 +545,34 @@ class TestPrunedEnumeration:
         assert peak < 10e6
         assert np.max(np.abs(top.profile - full_enumeration_profiles(states).max(axis=0))) <= 1e-12
 
+    @pytest.mark.parametrize("batch_bytes", [256, 4096, 20000])
+    def test_per_pair_groups_and_batches_change_no_distance(self, batch_bytes, rng, monkeypatch):
+        # small budgets split a size's subsets into several conversion groups
+        # and each batch into several eigensolves
+        states = [random_density(4, rng) for _ in range(6)]
+        want = pairwise_profiles(states)
+        monkeypatch.setattr(decolab.analysis, "_DIFF_BYTES", batch_bytes)
+        got = pairwise_profiles(states)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(got - full_enumeration_profiles(states))) <= 1e-12
+
+    @pytest.mark.parametrize("width, count, one_subset_peak", [(5, 16, 4.37e6), (6, 8, 4.48e6)])
+    def test_per_pair_conversions_are_capped_in_bytes(self, width, count, one_subset_peak):
+        # converting one subset at a time and batching its pairs peaked at
+        # ``one_subset_peak``; converting every subset of a size for batches
+        # that span subsets peaked at 4.97 MB at width 6
+        probes = make_probes("basis", width)[:: 2**width // count]
+        circuit = random_circuit(2, width, 6, seed=width)
+        states = [run_noisy(circuit, 0.6, p).levels[6] for p in probes]
+        tracemalloc.start()
+        try:
+            profiles = pairwise_profiles(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= one_subset_peak
+        assert np.max(np.abs(profiles - full_enumeration_profiles(states))) <= 1e-12
+
 
 class TestNormPruning:
     """The max-only form skips a pair whose ``sqrt(d) / 2 * ||Delta||_F``
@@ -562,19 +590,54 @@ class TestNormPruning:
         _matches_full_enumeration(states)
         assert 0 < max_profile(states).profile[-1] < gap
 
-    def test_spares_eigensolves_on_the_max_only_form_only(self, monkeypatch):
+    def test_spares_eigensolves_on_both_forms(self, monkeypatch):
         circuit = random_circuit(2, 6, 4, seed=11)
         trajectories = [run_noisy(circuit, 0.6, p) for p in make_probes("random:8", 6, seed=12)]
         states = [t.levels[3] for t in trajectories]
         seen = _count_eigensolves(monkeypatch)
         pairwise_profiles(states)
-        # the per-pair form prunes by the data-processing inequality alone
-        assert seen[0] == 876
+        # 876 with the data-processing inequality alone
+        assert seen[0] == 527
+        _, run, _, pruned = decolab.analysis._top_down(states, per_pair=True)
+        assert run == 527 and pruned > 0
         seen[0] = 0
         top = max_profile(states)
         # 234 with the data-processing inequality alone
         assert top.eigensolves == seen[0] < 234
         assert top.norm_pruned > 0
+        _matches_full_enumeration(states)
+
+    @pytest.mark.parametrize("kind", ["random", "equal", "saturated"])
+    def test_one_qubit_distances_are_half_the_coefficient_distance(self, kind, rng, monkeypatch):
+        # a one-qubit difference has eigenvalues of equal magnitude: the bound
+        # is the distance, and the per-pair form solves no 2x2 eigenproblem
+        if kind == "random":
+            states = [random_density(1, rng) for _ in range(6)] + [random_pure_state(1, rng)]
+        elif kind == "equal":
+            states = [random_density(1, rng)] * 3
+        else:
+            v = haar_unitary(1, rng)
+            states = [DensityMatrix.pure(v[:, 0]), DensityMatrix.pure(v[:, 1])]
+            states += [DensityMatrix.basis_state(1, 0), DensityMatrix.basis_state(1, 1)]
+        want = np.array([
+            0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum()
+            for a, b in itertools.combinations(states, 2)
+        ])
+        seen = _count_eigensolves(monkeypatch)
+        got = pairwise_profiles(states)
+        assert seen[0] == 0
+        assert np.max(np.abs(got[:, 1] - want)) <= 1e-15
+        if kind == "saturated":
+            assert np.max(np.abs(got[[0, 5], 1] - 1.0)) <= 1e-15
+        if kind == "equal":
+            assert not got.any()
+
+    def test_one_qubit_subsets_of_a_product_level(self):
+        # k=1 basis pairs differ on the qubits of the index XOR alone, and only
+        # those qubits' one-qubit subsets are eligible
+        circuit = random_circuit(1, 4, 3, seed=4)
+        states = [run_noisy(circuit, 0.1, p).levels[2] for p in make_probes("basis", 4)]
+        assert (_masks(states) != 0b1111).any()
         _matches_full_enumeration(states)
 
     @pytest.mark.parametrize(
@@ -583,7 +646,10 @@ class TestNormPruning:
         ids=["matrix", "pauli"],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_entry_is_never_pruned_into_a_distance(self, bad, held, message, rng):
+    @pytest.mark.parametrize("enumerate_subsets", [max_profile, pairwise_profiles])
+    def test_a_non_finite_entry_is_never_pruned_into_a_distance(
+        self, enumerate_subsets, bad, held, message, rng
+    ):
         states = [random_density(3, rng) for _ in range(3)]
         if held == "matrix":  # checked where it enters coefficient form
             mat = np.array(states[1].mat)
@@ -596,7 +662,7 @@ class TestNormPruning:
             coeffs[np.ravel_multi_index((1, 1, 1), (4, 4, 4))] = bad
             states[1] = DensityMatrix._from_pauli(3, coeffs)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match=message):
-            max_profile(states)
+            enumerate_subsets(states)
 
     @pytest.mark.parametrize("gap", [None, 1e-4, 1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
@@ -722,8 +788,9 @@ class TestProductLevels:
         states = [t.levels[3] for t in trajectories]
         seen = _count_eigensolves(monkeypatch)
         pairwise_profiles(states)
-        # 6,109 when every (pair, subset) of the data-processing inequality ran
-        assert seen[0] == 2683
+        # 6,109 when every (pair, subset) of the data-processing inequality
+        # ran, 2,683 with the product masks alone
+        assert seen[0] == 1857
         seen[0] = 0
         # 3,106 likewise
         assert max_profile(states).eigensolves == seen[0] == 1969
