@@ -169,19 +169,16 @@ def min_worthless_depth(
     return t
 
 
-def noise_rounds_at_level(level: int, depth: int, extra_noise_round: bool = False) -> int:
-    """Noise rounds absorbed by the state recorded at ``level``.
+def noise_rounds_at_level(level: int, depth: int) -> int:
+    """Noise rounds absorbed by the state recorded at ``level`` of a
+    depth-``depth`` run, ``0 <= level <= depth``.
 
     Level 0 is the input and level 1 the first layer's output, which no noise
-    has touched yet; with the optional extra rounds the count shifts by the
-    prepended round and the final level also absorbs the appended one.
+    has touched yet; each later layer follows one round.
     """
-    if not extra_noise_round:
-        return max(level - 1, 0)
-    rounds = level
-    if level == depth and depth > 0:
-        rounds += 1
-    return rounds
+    if not 0 <= level <= depth:
+        raise ValueError(f"level {level} is not among the levels 0..{depth}")
+    return max(level - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -869,16 +866,13 @@ def distance_report(
     eta: float,
     probes: Sequence[DensityMatrix],
     eps: float = DEFAULT_EPS,
-    extra_noise_round: bool = False,
 ) -> DistanceReport:
     """Run all probes and tabulate empirical vs analytic per (level, size)."""
     if len(probes) < 2:
         raise ValueError("a distance report needs at least two probe states")
-    trajectories = [
-        run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round) for p in probes
-    ]
+    trajectories = [run_noisy(circuit, eta, p) for p in probes]
     depth = circuit.depth
-    series = f_series(circuit.k, eta, noise_rounds_at_level(depth, depth, extra_noise_round))
+    series = f_series(circuit.k, eta, noise_rounds_at_level(depth, depth))
     levels = [[t.levels[level] for t in trajectories] for level in range(depth + 1)]
     workers = _report_workers()
     # levels are independent once the trajectories exist, and LAPACK drops
@@ -897,7 +891,7 @@ def distance_report(
         factored += level_factored
         norm_pruned += level_norm_pruned
         full += math.comb(len(probes), 2) * (2**width - 1)
-        rounds = noise_rounds_at_level(level, depth, extra_noise_round)
+        rounds = noise_rounds_at_level(level, depth)
         for n in range(width + 1):
             emp = float(profile[n])
             bound = analytic_bound(series, rounds, n)

@@ -5,7 +5,9 @@ an ``n_{i+1}``-qubit one.  Within a layer the gate input sets partition
 ``[n_i]`` exactly and the output sets partition ``[n_{i+1}]`` exactly, so a
 layer is one big tensor product of channels.  Noisy execution interlaces a
 round of per-qubit depolarization strictly *between* layers: the first layer
-acts on the pristine input and no noise follows the last layer.
+acts on the pristine input and no noise follows the last layer.  That is the
+one schedule; a round before the first layer or after the last is an empty
+``layer`` block (identity wires) at that end of the circuit.
 
 Text format (line oriented, ``#`` comments)::
 
@@ -277,19 +279,14 @@ def apply_layer(layer: CircuitLayer, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix._from_pauli(layer.out_width, coeffs)
 
 
-def run_noisy(
-    circuit: Circuit,
-    eta: float,
-    rho0: DensityMatrix,
-    extra_noise_round: bool = False,
-) -> Trajectory:
+def run_noisy(circuit: Circuit, eta: float, rho0: DensityMatrix) -> Trajectory:
     """Execution with a depolarization round between consecutive layers;
     ``eta = 0`` is the noiseless run.
 
     The first layer sees the input unperturbed and no noise follows the last
-    layer; ``extra_noise_round`` adds one round before the first layer and
-    one after the last (a sensitivity knob, off by default).  Recorded level
-    ``i`` is the state before the noise round feeding layer ``i``.
+    layer.  Recorded level ``i`` is the state before the noise round feeding
+    layer ``i``.  An empty ``layer`` (identity wires) at each end puts a
+    round before the first real layer and one after the last.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
@@ -300,12 +297,10 @@ def run_noisy(
     levels = [rho0]
     cur = rho0
     for i, layer in enumerate(circuit.layers):
-        if i >= 1 or extra_noise_round:
+        if i:
             cur = depolarize_all(cur, eta)
         cur = apply_layer(layer, cur)
         levels.append(cur)
-    if extra_noise_round and circuit.depth > 0:
-        levels[-1] = depolarize_all(levels[-1], eta)
     return Trajectory(tuple(levels))
 
 

@@ -88,13 +88,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         probes_spec = "auto"
     else:
         probes = analysis.make_probes(probes_spec, circuit.in_width, args.seed)
-    report = analysis.distance_report(
-        circuit,
-        args.eta,
-        probes,
-        eps=args.eps,
-        extra_noise_round=args.extra_noise_round,
-    )
+    report = analysis.distance_report(circuit, args.eta, probes, eps=args.eps)
     columns = ["level", "i_width", "n", "empirical_d", "bound", "slack"]
     rows = [list(r) for r in report.rows]
     out = _default_output(args, "report")
@@ -247,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--width", type=int, help="assert the circuit width before running")
     sim.add_argument("--output", help="report path (default report.csv/.json)")
     sim.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    sim.add_argument(
-        "--extra-noise-round",
-        action="store_true",
-        help="also depolarize before the first layer and after the last",
-    )
     sim.set_defaults(handler=cmd_simulate)
 
     bnd = sub.add_parser("bound", help="tabulate the analytic recursion")

@@ -6,10 +6,12 @@ library's strided kernels are checked against, assembled channels, the
 one-qubit affine depolarizer, the Kraus-sum channel application and the
 Pauli-form depolarizer its kernels and affine noise round are checked
 against, the full subset enumeration its pruned one is checked against,
-the serial level loop its threaded report is checked against, circuits of
-the benchmark's gate mix with the dense worthlessness verdicts the
-block-split trace distances are checked against, the one-step recursion
-bounds the profiles are checked against, and a trajectory writer."""
+the serial level loop its threaded report is checked against, the padded
+circuit and the schedule with a noise round at each end that its run is
+checked against, circuits of the benchmark's gate mix with the dense
+worthlessness verdicts the block-split trace distances are checked against,
+the one-step recursion bounds the profiles are checked against, and a
+trajectory writer."""
 
 import itertools
 import math
@@ -19,8 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from decolab.analysis import MaxProfile, max_profile
-from decolab.channels import GATES, QuantumChannel
-from decolab.circuit import Circuit, Trajectory, format_complex, parse_circuit, run_noisy
+from decolab.channels import GATES, QuantumChannel, depolarize_all
+from decolab.circuit import (
+    Circuit,
+    CircuitLayer,
+    Trajectory,
+    apply_layer,
+    format_complex,
+    parse_circuit,
+    run_noisy,
+)
 from decolab.config import HARD_MAX_QUBITS, HERM_TOL, ResourceLimitError
 from decolab.linalg import (
     DensityMatrix,
@@ -188,17 +198,40 @@ def full_enumeration_profiles(states: Sequence[DensityMatrix]) -> np.ndarray:
 
 
 def serial_level_profiles(
-    circuit: Circuit,
-    eta: float,
-    probes: Sequence[DensityMatrix],
-    extra_noise_round: bool = False,
+    circuit: Circuit, eta: float, probes: Sequence[DensityMatrix]
 ) -> list[MaxProfile]:
     """``max_profile`` of every level of ``distance_report``'s trajectories,
     one level after another in the calling thread."""
-    trajectories = [run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round) for p in probes]
+    trajectories = [run_noisy(circuit, eta, p) for p in probes]
     return [
         max_profile([t.levels[level] for t in trajectories]) for level in range(circuit.depth + 1)
     ]
+
+
+def padded(circuit: Circuit) -> Circuit:
+    """``circuit`` with an empty ``layer`` block, as the parser builds it
+    (identity wires), before its first layer and after its last."""
+
+    def empty(width: int) -> CircuitLayer:
+        return parse_circuit(f"k 1\nwidth {width}\nlayer\n").layers[0]
+
+    layers = (empty(circuit.in_width), *circuit.layers, empty(circuit.widths[-1]))
+    return Circuit(circuit.k, circuit.in_width, layers)
+
+
+def extra_round_levels(
+    circuit: Circuit, eta: float, rho0: DensityMatrix
+) -> tuple[DensityMatrix, ...]:
+    """The levels of the schedule with a noise round before every layer and
+    one after the last (none at depth 0): the one ``run_noisy`` gives on
+    :func:`padded` circuits, where this level ``L < depth`` is the padded
+    level ``L + 1`` and the final level is the padded level ``depth + 2``."""
+    levels = [rho0]
+    for layer in circuit.layers:
+        levels.append(apply_layer(layer, depolarize_all(levels[-1], eta)))
+    if circuit.depth:
+        levels[-1] = depolarize_all(levels[-1], eta)
+    return tuple(levels)
 
 
 def mixed_circuit(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from decolab.analysis import (
     BELOW_THRESHOLD,
     NEVER_WITHIN_CAP,
+    ReportRow,
     analytic_bound,
     check_noise_action,
     distance_report,
@@ -56,9 +57,11 @@ import decolab.linalg
 from oracles import (
     dense_partial_trace,
     dense_verdicts,
+    extra_round_levels,
     full_enumeration_profiles,
     gate_only_step_bound,
     mixed_circuit,
+    padded,
     recursion_step_bound,
     serial_level_profiles,
 )
@@ -711,16 +714,14 @@ class TestProductLevels:
     """A pair of certified product states is enumerated only on the qubits
     where its one-qubit marginals differ."""
 
-    @pytest.mark.parametrize("extra_noise_round", [False, True])
+    @pytest.mark.parametrize("pad", [False, True])
     @pytest.mark.parametrize("probes", ["basis", "pair:1,2"])
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.6, 1.0])
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
-    def test_fan_in_one_levels_match_full_enumeration(self, width, eta, probes, extra_noise_round):
+    def test_fan_in_one_levels_match_full_enumeration(self, width, eta, probes, pad):
         circuit = random_circuit(1, width, 3, seed=width)
-        trajectories = [
-            run_noisy(circuit, eta, p, extra_noise_round=extra_noise_round)
-            for p in make_probes(probes, width)
-        ]
+        circuit = padded(circuit) if pad else circuit
+        trajectories = [run_noisy(circuit, eta, p) for p in make_probes(probes, width)]
         for level in range(circuit.depth + 1):
             _matches_full_enumeration([t.levels[level] for t in trajectories])
 
@@ -744,14 +745,12 @@ class TestProductLevels:
         assert seen[0] == top.eigensolves == 0
         assert not top.profile.any()
 
-    @pytest.mark.parametrize("extra_noise_round", [False, True])
+    @pytest.mark.parametrize("pad", [False, True])
     @pytest.mark.parametrize("width", [2, 4, 6])
-    def test_basis_masks_are_the_index_xor(self, width, extra_noise_round):
+    def test_basis_masks_are_the_index_xor(self, width, pad):
         circuit = random_circuit(1, width, 4, seed=5)
-        trajectories = [
-            run_noisy(circuit, 0.1, p, extra_noise_round=extra_noise_round)
-            for p in make_probes("basis", width)
-        ]
+        circuit = padded(circuit) if pad else circuit
+        trajectories = [run_noisy(circuit, 0.1, p) for p in make_probes("basis", width)]
         want = [
             _qubit_mask(a ^ b, width) for a, b in itertools.combinations(range(2**width), 2)
         ]
@@ -812,16 +811,17 @@ def _use_cpus(monkeypatch, cpus: int) -> None:
 
 class TestLevelPool:
     @pytest.mark.parametrize("cpus", [1, 2, 5])
-    @pytest.mark.parametrize("extra_noise_round", [False, True])
+    @pytest.mark.parametrize("pad", [False, True])
     @pytest.mark.parametrize("case", ["random", "width-changing"])
-    def test_report_equals_the_serial_level_loop(self, case, extra_noise_round, cpus, monkeypatch):
+    def test_report_equals_the_serial_level_loop(self, case, pad, cpus, monkeypatch):
         if case == "random":
             circuit, probes = random_circuit(2, 4, 5, seed=3), make_probes("random:5", 4, seed=4)
         else:
             circuit, probes = parse_circuit(WIDTH_CHANGING), make_probes("random:4", 3, seed=9)
+        circuit = padded(circuit) if pad else circuit
         _use_cpus(monkeypatch, cpus)
-        report = distance_report(circuit, 0.4, probes, extra_noise_round=extra_noise_round)
-        want = serial_level_profiles(circuit, 0.4, probes, extra_noise_round=extra_noise_round)
+        report = distance_report(circuit, 0.4, probes)
+        want = serial_level_profiles(circuit, 0.4, probes)
         assert report.workers == cpus
         assert report.eigensolves_run == sum(p.eigensolves for p in want)
         assert [(r.level, r.i_width, r.n, r.empirical_d) for r in report.rows] == [
@@ -881,6 +881,78 @@ class TestLevelPool:
         finally:
             limit_blas_threads(1)
         assert distance_report(circuit, 0.4, probes).workers == 2
+
+
+#: (k, width, depth) of the random circuits the padding is checked on
+_PADDING_SHAPES = {"k1": (1, 3, 4), "k2": (2, 4, 3), "k3": (3, 5, 2), "k2-depth1": (2, 2, 1)}
+
+
+def _padding_case(case: str) -> tuple[Circuit, list[DensityMatrix]]:
+    if case == "width-changing":
+        return parse_circuit(WIDTH_CHANGING), make_probes("random:4", 3, seed=9)
+    k, width, depth = _PADDING_SHAPES[case]
+    return random_circuit(k, width, depth, seed=width), make_probes("random:3", width, seed=k)
+
+
+class TestPaddedSchedule:
+    """An empty ``layer`` at each end of a circuit gives, bit for bit, the
+    schedule with one more noise round before the first layer and one after
+    the last: its level ``L < depth`` is the padded level ``L + 1`` and its
+    final level the padded level ``depth + 2``."""
+
+    CASES = [*_PADDING_SHAPES, "width-changing"]
+
+    @staticmethod
+    def _padded_level(level: int, depth: int) -> int:
+        return level + 1 if level < depth else depth + 2
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_padded_levels_are_the_extra_round_levels(self, case, eta):
+        circuit, probes = _padding_case(case)
+        depth = circuit.depth
+        for rho in probes:
+            want = extra_round_levels(circuit, eta, rho)
+            got = run_noisy(padded(circuit), eta, rho).levels
+            assert len(got) == depth + 3
+            assert np.array_equal(got[0].pauli, rho.pauli)
+            for level, state in enumerate(want):
+                mapped = got[self._padded_level(level, depth)]
+                assert mapped.qubits == state.qubits
+                assert np.array_equal(mapped.pauli, state.pauli)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_padded_report_rows_are_the_extra_round_rows(self, case, eta):
+        circuit, probes = _padding_case(case)
+        depth = circuit.depth
+        report = distance_report(padded(circuit), eta, probes)
+        trajectories = [extra_round_levels(circuit, eta, p) for p in probes]
+        series = f_series(circuit.k, eta, depth + 1)
+        want = []
+        for level in range(depth + 1):
+            profile = max_profile([t[level] for t in trajectories]).profile
+            rounds = level if level < depth else depth + 1
+            for n, d in enumerate(profile):
+                bound = analytic_bound(series, rounds, n)
+                padded_level = self._padded_level(level, depth)
+                want.append(
+                    ReportRow(padded_level, len(profile) - 1, n, float(d), bound, bound - float(d))
+                )
+        kept = {self._padded_level(level, depth) for level in range(depth + 1)}
+        assert [r for r in report.rows if r.level in kept] == want
+        # the two rows the padding adds: the input, and the last real layer's
+        # output before the appended round
+        assert {r.level for r in report.rows} - kept == {0, depth + 1}
+        assert report.final_max_distance == want[-1].empirical_d
+
+    def test_padding_a_depth_zero_circuit_adds_a_round(self):
+        circuit = parse_circuit("k 1\nwidth 1\n")
+        rho = DensityMatrix.basis_state(1, 0)
+        (old,) = extra_round_levels(circuit, 0.5, rho)
+        levels = run_noisy(padded(circuit), 0.5, rho).levels
+        assert np.array_equal(levels[1].pauli, old.pauli)
+        assert np.array_equal(levels[2].pauli, [1.0, 0.0, 0.0, 0.5])
 
 
 class TestNoiseAction:
@@ -1054,7 +1126,7 @@ class TestWorthlessness:
     @pytest.mark.parametrize("verdict", [practically_worthless, worthless])
     def test_nan_final_state_is_a_numerical_failure(self, verdict, qubits, monkeypatch):
         # settle checks only the trace, so NaN off-diagonals get through it
-        def poisoned(circuit, eta, rho0, extra_noise_round=False):
+        def poisoned(circuit, eta, rho0):
             mat = np.array(rho0.mat)
             mat[0, -1] = mat[-1, 0] = np.nan
             return Trajectory((rho0, DensityMatrix(rho0.qubits, mat)))
@@ -1217,9 +1289,12 @@ class TestRecursionSteps:
 
     def test_noise_rounds_at_level(self):
         assert [noise_rounds_at_level(i, 4) for i in range(5)] == [0, 0, 1, 2, 3]
-        assert [
-            noise_rounds_at_level(i, 4, extra_noise_round=True) for i in range(5)
-        ] == [0, 1, 2, 3, 5]
+        assert noise_rounds_at_level(0, 0) == 0
+
+    @pytest.mark.parametrize("level, depth", [(-3, 4), (-1, 0), (5, 4), (9, 4), (1, 0)])
+    def test_noise_rounds_at_a_level_outside_the_run_raise(self, level, depth):
+        with pytest.raises(ValueError, match="not among the levels"):
+            noise_rounds_at_level(level, depth)
 
     def test_one_step_inequality_on_random_circuit(self):
         k, eta = 2, 0.6

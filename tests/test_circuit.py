@@ -38,6 +38,7 @@ from oracles import (
     export_trajectory,
     hermitian_part,
     mixed_circuit,
+    padded,
     permutation_unitary,
     validate_density,
 )
@@ -535,13 +536,13 @@ class TestRunNoisy:
         traj = run_noisy(c, 0.9, DensityMatrix.basis_state(1, 0))
         assert np.max(np.abs(traj.levels[1].mat - np.diag([1.0, 0.0]))) < 1e-12
 
-    def test_extra_noise_round_flag(self):
-        # an extra round before the first layer and after the last:
-        # the wire picks up two more decay factors
+    def test_padded_wire_takes_a_round_at_each_end(self):
+        # an empty layer before the first layer and after the last puts a
+        # round at each end: the wire picks up two more decay factors
         depth, eta = 4, 0.5
-        c = wire_circuit(depth)
-        ta = run_noisy(c, eta, DensityMatrix.basis_state(1, 0), extra_noise_round=True)
-        tb = run_noisy(c, eta, DensityMatrix.basis_state(1, 1), extra_noise_round=True)
+        c = padded(wire_circuit(depth))
+        ta = run_noisy(c, eta, DensityMatrix.basis_state(1, 0))
+        tb = run_noisy(c, eta, DensityMatrix.basis_state(1, 1))
         from decolab.linalg import trace_distance
 
         d = trace_distance(ta.levels[-1], tb.levels[-1])
@@ -828,7 +829,8 @@ class TestPauliStatePath:
             (random_mixed_circuit(seed, width, depth=4), random_density(width, rng)),
         ]
         for circ, rho in runs:
-            levels = run_noisy(circ, 0.3, rho, extra_noise_round=bool(seed % 2)).levels
+            circ = padded(circ) if seed % 2 else circ
+            levels = run_noisy(circ, 0.3, rho).levels
             assert [level.qubits for level in levels] == list(circ.widths)
             assert all(level.pauli[0] == 1.0 for level in levels)
             for level in levels[1:]:
@@ -885,10 +887,11 @@ class TestBuffers:
         for out in outputs:
             assert not np.shares_memory(out.pauli, rho.pauli)
 
-    @pytest.mark.parametrize("extra", [False, True])
-    def test_levels_are_locked_and_disjoint(self, rng, extra):
+    @pytest.mark.parametrize("pad", [False, True])
+    def test_levels_are_locked_and_disjoint(self, rng, pad):
         circ = random_mixed_circuit(3, 4, depth=5)
-        traj = run_noisy(circ, 0.3, random_density(4, rng), extra_noise_round=extra)
+        circ = padded(circ) if pad else circ
+        traj = run_noisy(circ, 0.3, random_density(4, rng))
         for i, level in enumerate(traj.levels):
             assert not level.mat.flags.writeable
             with pytest.raises(ValueError):

@@ -208,8 +208,8 @@ class TestSimulate:
     ):
         run_noisy = decolab.analysis.run_noisy
 
-        def nan_final_level(circuit, eta, rho0, extra_noise_round=False):
-            levels = list(run_noisy(circuit, eta, rho0, extra_noise_round).levels)
+        def nan_final_level(circuit, eta, rho0):
+            levels = list(run_noisy(circuit, eta, rho0).levels)
             if held == "matrix":  # fails where it enters coefficient form
                 mat = np.array(levels[-1].mat)
                 mat[0, 1] = mat[1, 0] = np.nan
@@ -279,18 +279,30 @@ class TestSimulate:
              "--output", str(out)]
         ) == 2
 
-    def test_extra_noise_round(self, wire11_path, tmp_path):
-        out = tmp_path / "r.csv"
+    def test_padded_circuit_takes_a_round_at_each_end(self, wire11_path, tmp_path):
+        # an empty layer at each end: the wire's 10 rounds become 12
+        text = open(wire11_path).read().replace("width 1\n", "width 1\nlayer\n", 1)
+        path, out = tmp_path / "padded.qc", tmp_path / "r.csv"
+        path.write_text(text + "layer\n")
         code = main(
             [
-                "simulate", "--circuit", wire11_path, "--eta", "0.5",
-                "--probes", "basis", "--extra-noise-round", "--output", str(out),
+                "simulate", "--circuit", str(path), "--eta", "0.5",
+                "--probes", "basis", "--output", str(out),
             ]
         )
         assert code == 0
         _, rows = read_csv(out)
-        final = [r for r in rows if r["level"] == "11" and r["n"] == "1"][0]
+        assert max(int(r["level"]) for r in rows) == 13
+        final = [r for r in rows if r["level"] == "13" and r["n"] == "1"][0]
         assert float(final["empirical_d"]) == pytest.approx(0.5**12, abs=1e-12)
+
+    def test_extra_noise_round_is_no_longer_a_flag(self, wire11_path, tmp_path):
+        argv = ["simulate", "--circuit", wire11_path, "--eta", "0.5", "--extra-noise-round",
+                "--output", str(tmp_path / "r.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestBound:
@@ -474,7 +486,7 @@ _REALS = st.sampled_from(["0", "0.3", "0.6", "0.9", "1", "-0.1", "1.5", "nan", "
 _OUTPUTS = st.sampled_from(["out.csv", "out.json", "", ".", "no/such/dir.csv"])
 _FORMATS = st.sampled_from(["csv", "json", "xml"])
 
-#: each subcommand's flags and their values (``None`` for a switch), bounded
+#: each subcommand's flags and their values, bounded
 #: so that every run is short: the sizes, depths, trials and probe counts
 #: are small
 _FLAGS = {
@@ -489,7 +501,6 @@ _FLAGS = {
         "--width": _ints(-1, 13),
         "--output": _OUTPUTS,
         "--format": _FORMATS,
-        "--extra-noise-round": None,
     },
     "bound": {
         "--k": _ints(-1, 8),
@@ -536,9 +547,7 @@ def _argv(draw) -> list[str]:
     others = draw(st.lists(st.sampled_from(optional), unique=True))
     argv = [command]
     for flag in draw(st.permutations(required + others)):
-        argv.append(flag)
-        if flags[flag] is not None:
-            argv.append(draw(flags[flag]))
+        argv += [flag, draw(flags[flag])]
     if command == "check":
         # the noise-action suite enumerates every subset of every subset:
         # past 4 qubits only a count above the cap, which exits before a trial

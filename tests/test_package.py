@@ -1,6 +1,7 @@
 import ast
 import glob
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -113,6 +114,19 @@ class TestExports:
 
     def test_removed_names_are_gone_from_the_state_class(self):
         assert [n for n in REMOVED if hasattr(decolab.DensityMatrix, n)] == []
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            decolab.circuit.run_noisy,
+            decolab.analysis.distance_report,
+            decolab.analysis.noise_rounds_at_level,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_one_noise_schedule(self, function):
+        # a round before the first layer or after the last is an empty layer
+        assert "extra_noise_round" not in inspect.signature(function).parameters
 
     def test_star_import_matches_all(self):
         namespace: dict = {}
